@@ -127,41 +127,25 @@ def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
     return spark.read.parquet(os.path.join(out_dir, "metadata.parquet"))
 
 
-def load_features(spark: SparkSession, out_dir: str, scan_group: int,
-                  source: str = "pcr") -> DataFrame:
-    """Decode a dataset at a scan group and extract features, in Spark.
+def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFrame:
+    """Decode a dataset's PCRs at a scan group and extract features, in Spark.
 
-    ``source='pcr'`` reads the PCR prefix at ``scan_group``;
-    ``source='tfrecord'`` reads the baseline-format twin (full fidelity,
-    scan_group ignored) — the paper's TFRecord comparison path.
-    Join with ``read_metadata`` on (record, pos) for task labels/splits.
+    Each record is one prefix read at ``scan_group``. Join with
+    ``read_metadata`` on (record, pos) for task labels/splits.
     """
-    if source == "pcr":
-        paths = record_paths(out_dir)
-    else:
-        paths = sorted(
-            os.path.join(out_dir, f)
-            for f in os.listdir(out_dir)
-            if f.endswith(".tfrec")
-        )
+    paths = record_paths(out_dir)
     pdf = pd.DataFrame({"path": paths})
     df = spark.createDataFrame(pdf).repartition(len(paths))
 
     def decode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
             for path in b["path"]:
-                if source == "pcr":
-                    items = pcr.read_pcr(path, scan_group)
-                    rec_key = path
-                else:
-                    items = tfrecord.read_tfrecord(path)
-                    rec_key = path.replace(".tfrec", ".pcr")
                 rows = []
-                for pos, (label, jpeg) in enumerate(items):
+                for pos, (label, jpeg) in enumerate(pcr.read_pcr(path, scan_group)):
                     img = decode(jpeg)
                     rows.append(
                         {
-                            "record": rec_key,
+                            "record": path,
                             "pos": pos,
                             "label": int(label),
                             "features": extract_features(img).tolist(),
@@ -172,14 +156,14 @@ def load_features(spark: SparkSession, out_dir: str, scan_group: int,
     return df.mapInPandas(decode_partition, schema=_FEAT_SCHEMA)
 
 
-def collect_features(spark: SparkSession, out_dir: str, scan_group: int,
-                     source: str = "pcr") -> pd.DataFrame:
+def collect_features(spark: SparkSession, out_dir: str,
+                     scan_group: int) -> pd.DataFrame:
     """Features joined with metadata, collected to pandas (small datasets).
 
     The join runs in Spark (on (record, pos)); the result carries all
     task labels (label/make/is_zero) and the train/test split.
     """
-    feats = load_features(spark, out_dir, scan_group, source=source)
+    feats = load_features(spark, out_dir, scan_group)
     meta = read_metadata(spark, out_dir).select(
         "record", "pos", "idx", "make", "is_zero", "is_test"
     )

@@ -22,18 +22,27 @@ parquet sidecar written by ``repro.core.dataset``):
     ...
     bytes  scan group G deltas (image order)
 
+Everything before the JPEG headers is the fixed index, packed and
+unpacked by one struct (``_index_struct``).
+
 Reassembling image i at fidelity g = header_i + deltas 1..g + EOI,
 which our (truncation-tolerant) decoder renders — identical bytes to
 ``markers.truncate_to_scans`` on the original progressive file.
 """
+import itertools
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.jpeg import markers
 
 MAGIC = b"PCR1"
+_HEAD = struct.Struct("<4sIB")  # magic, n_images, n_scan_groups
+
+
+def _index_struct(n: int, g: int) -> struct.Struct:
+    """The fixed index of an n-image, g-group PCR: the head, ``group_end``,
+    labels, header lengths and the [group][image] scan lengths."""
+    return struct.Struct(f"{_HEAD.format}{g}Q{n}i{n}I{g * n}I")
 
 
 @dataclass
@@ -47,6 +56,11 @@ class PcrInfo:
     labels: list[int]
     header_lens: list[int]
     scan_lens: list[list[int]]  # [group][image]
+
+    @property
+    def index_bytes(self) -> int:
+        """Size of the fixed index; the JPEG headers start at this offset."""
+        return _index_struct(self.n_images, self.n_scan_groups).size
 
     def prefix_bytes(self, g: int) -> int:
         """Bytes that must be read to access the dataset at fidelity g."""
@@ -74,79 +88,67 @@ def write_pcr(path: str, images: list[tuple[bytes, int]]) -> PcrInfo:
         scans.append([data[s:e] for s, e in spans])
         labels.append(int(label))
 
-    n = len(images)
-    g = n_groups
+    n, g = len(images), n_groups
     header_lens = [len(h) for h in headers]
     scan_lens = [[len(scans[i][j]) for i in range(n)] for j in range(g)]
-
-    fixed = len(MAGIC) + 4 + 1 + 8 * g + 4 * n + 4 * n + 4 * g * n
-    data_start = fixed + sum(header_lens)
-    group_end = []
-    off = data_start
-    for j in range(g):
-        off += sum(scan_lens[j])
-        group_end.append(off)
+    info = PcrInfo(path, n, g, [], labels, header_lens, scan_lens)
+    end = info.index_bytes + sum(header_lens)
+    for lens in scan_lens:
+        end += sum(lens)
+        info.group_end.append(end)
 
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IB", n, g))
-        f.write(struct.pack(f"<{g}Q", *group_end))
-        f.write(struct.pack(f"<{n}i", *labels))
-        f.write(struct.pack(f"<{n}I", *header_lens))
+        f.write(_index_struct(n, g).pack(
+            MAGIC, n, g, *info.group_end, *labels, *header_lens,
+            *(x for lens in scan_lens for x in lens),
+        ))
+        f.writelines(headers)
         for j in range(g):
-            f.write(struct.pack(f"<{n}I", *scan_lens[j]))
-        for h in headers:
-            f.write(h)
-        for j in range(g):
-            for i in range(n):
-                f.write(scans[i][j])
-    return PcrInfo(path, n, g, group_end, labels, header_lens, scan_lens)
+            f.writelines(s[j] for s in scans)
+    return info
+
+
+def _read_index(f, path: str) -> PcrInfo:
+    head = f.read(_HEAD.size)
+    assert head[: len(MAGIC)] == MAGIC, f"not a PCR file: {path}"
+    _, n, g = _HEAD.unpack(head)
+    index = _index_struct(n, g)
+    fields = iter(index.unpack(head + f.read(index.size - _HEAD.size))[3:])
+
+    def take(k: int) -> list[int]:
+        return list(itertools.islice(fields, k))
+
+    group_end, labels, header_lens = take(g), take(n), take(n)
+    return PcrInfo(path, n, g, group_end, labels, header_lens,
+                   [take(n) for _ in range(g)])
 
 
 def read_index(path: str) -> PcrInfo:
     """Read only the fixed index of a PCR file (the in-memory metadata)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        assert magic == MAGIC, f"not a PCR file: {path}"
-        n, g = struct.unpack("<IB", f.read(5))
-        group_end = list(struct.unpack(f"<{g}Q", f.read(8 * g)))
-        labels = list(struct.unpack(f"<{n}i", f.read(4 * n)))
-        header_lens = list(struct.unpack(f"<{n}I", f.read(4 * n)))
-        scan_lens = [
-            list(struct.unpack(f"<{n}I", f.read(4 * n))) for _ in range(g)
-        ]
-    return PcrInfo(path, n, g, group_end, labels, header_lens, scan_lens)
+        return _read_index(f, path)
 
 
 def read_pcr(path: str, scan_group: int) -> list[tuple[int, bytes]]:
     """Read a PCR at fidelity ``scan_group``; returns [(label, jpeg_bytes)].
 
-    Performs exactly one sequential read of the file prefix up to the
-    requested scan group's end offset (the PCR access pattern), then
-    reassembles each image's truncated progressive JPEG in memory.
+    Reads the file prefix up to the requested scan group's end offset
+    once, sequentially (the PCR access pattern): the index, then the
+    headers and scan groups 1..g in one read. Each image's truncated
+    progressive JPEG is then reassembled in memory.
     """
-    info = read_index(path)
-    g = max(1, min(scan_group, info.n_scan_groups))
     with open(path, "rb") as f:
-        buf = f.read(info.prefix_bytes(g))  # single sequential read
+        info = _read_index(f, path)
+        g = max(1, min(scan_group, info.n_scan_groups))
+        buf = f.read(info.prefix_bytes(g) - info.index_bytes)
 
-    n = info.n_images
-    fixed = (
-        len(MAGIC) + 5 + 8 * info.n_scan_groups + 4 * n + 4 * n
-        + 4 * info.n_scan_groups * n
-    )
-    h_off = np.concatenate([[0], np.cumsum(info.header_lens)]) + fixed
-    out_parts: list[list[bytes]] = []
-    for i in range(n):
-        out_parts.append([buf[h_off[i] : h_off[i + 1]]])
-    off = h_off[-1]
-    for j in range(g):
-        lens = info.scan_lens[j]
-        offs = np.concatenate([[0], np.cumsum(lens)]) + off
-        for i in range(n):
-            out_parts[i].append(buf[offs[i] : offs[i + 1]])
-        off = offs[-1]
+    parts: list[list[bytes]] = [[] for _ in range(info.n_images)]
+    off = 0
+    for lens in [info.header_lens, *info.scan_lens[:g]]:
+        for i, ln in enumerate(lens):
+            parts[i].append(buf[off : off + ln])
+            off += ln
     return [
-        (info.labels[i], b"".join(out_parts[i]) + markers.EOI_BYTES)
-        for i in range(n)
+        (label, b"".join(p) + markers.EOI_BYTES)
+        for label, p in zip(info.labels, parts)
     ]

@@ -15,8 +15,6 @@ ResNet-18 450 img/s/node, ShuffleNetv2 750 img/s/node on a TitanX.
 """
 from dataclasses import dataclass
 
-MiB = 1 << 20
-
 # Paper §A.5 single-node training rates (images/second).
 MODEL_RATES = {"resnet_lite": 450.0, "shufflenet_lite": 750.0}
 

@@ -39,6 +39,13 @@ def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
 
 
+def to_gray(img: np.ndarray) -> np.ndarray:
+    """uint8 RGB (HxWx3) or grayscale (HxW) -> HxW float64 luma."""
+    if img.ndim == 3:
+        return img.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+    return img.astype(np.float64)
+
+
 def plane_to_blocks(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Pad a HxW plane to 8-multiples (edge replication) and split into
     raster-ordered 8x8 blocks. Returns (blocks (n,8,8), nby, nbx)."""

@@ -7,6 +7,8 @@ implemented directly with sliding windows.
 """
 import numpy as np
 
+from repro.jpeg.codec import to_gray
+
 _WEIGHTS = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])
 _K1, _K2, _L = 0.01, 0.03, 255.0
 _WIN = 11
@@ -49,19 +51,13 @@ def _ssim_cs(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(ssim.mean()), float(cs.mean())
 
 
-def _to_gray(img: np.ndarray) -> np.ndarray:
-    if img.ndim == 3:
-        return img.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-    return img.astype(np.float64)
-
-
 def msssim(a: np.ndarray, b: np.ndarray) -> float:
     """Multi-scale SSIM of two uint8 images (RGB or grayscale), in [~0, 1].
 
     The number of scales adapts to image size (each scale must stay at
     least as large as the 11-pixel window); weights are renormalized.
     """
-    x, y = _to_gray(a), _to_gray(b)
+    x, y = to_gray(a), to_gray(b)
     levels = 1
     s = min(x.shape)
     while levels < len(_WEIGHTS) and s // 2 >= _WIN:

@@ -23,7 +23,7 @@ contrast on HAM10000.
 import numpy as np
 
 from repro.jpeg import dct
-from repro.jpeg.codec import plane_to_blocks
+from repro.jpeg.codec import plane_to_blocks, to_gray
 from repro.jpeg.quant import ZIGZAG
 
 # Zigzag band edges matching the luma portion of the progressive script:
@@ -52,12 +52,6 @@ N_PIXEL_FEATURES = 64
 N_FEATURES = N_PIXEL_FEATURES + N_BAND_FEATURES
 
 
-def _to_gray(img: np.ndarray) -> np.ndarray:
-    if img.ndim == 3:
-        return img.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-    return img.astype(np.float64)
-
-
 def _grid_means(gray: np.ndarray, g: int = 8) -> np.ndarray:
     h, w = gray.shape
     ys = np.linspace(0, h, g + 1).astype(int)
@@ -71,7 +65,7 @@ def _grid_means(gray: np.ndarray, g: int = 8) -> np.ndarray:
 
 def extract_features(img: np.ndarray) -> np.ndarray:
     """Full feature vector (pixel grid + oriented band energies)."""
-    gray = _to_gray(img)
+    gray = to_gray(img)
     pix = _grid_means(gray) / 255.0
     blocks, _, _ = plane_to_blocks(gray - 128.0)
     coefs = dct.fdct2(blocks).reshape(len(blocks), 64)[:, ZIGZAG]

@@ -16,7 +16,6 @@ from repro.iosim.pipeline import (
     time_to_accuracy,
 )
 from repro.iosim.storage import MiB, StorageModel
-from repro.iosim.token_bucket import TokenBucket
 
 
 def test_data_throughput_is_w_over_mean_size():
@@ -93,24 +92,3 @@ def test_storage_read_time_components():
     assert s.read_time(100 * MiB, 1) == pytest.approx(1.01)
     assert s.read_time(0, 5) == pytest.approx(0.05)
 
-
-def test_token_bucket_rate_limits():
-    tb = TokenBucket(rate=100.0, burst=100.0)
-    t = 0.0
-    for _ in range(10):
-        t = tb.consume(100.0)
-    # 1000 tokens at 100/s with 100 burst -> ~9 seconds.
-    assert t == pytest.approx(9.0)
-
-
-def test_token_bucket_burst_allows_initial_spike():
-    tb = TokenBucket(rate=10.0, burst=1000.0)
-    assert tb.consume(1000.0) == 0.0  # burst absorbed instantly
-    assert tb.consume(10.0) == pytest.approx(1.0)
-
-
-def test_token_bucket_refill_with_wall_clock():
-    tb = TokenBucket(rate=100.0, burst=50.0)
-    tb.consume(50.0)  # drain
-    done = tb.consume(10.0, now=1.0)  # 1s passed -> 50 tokens refilled
-    assert done == pytest.approx(1.0)

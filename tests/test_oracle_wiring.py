@@ -1,50 +1,46 @@
-"""Sanity checks that the provided DuckDB oracle catches real mismatches."""
+"""Sanity checks that the DuckDB oracle catches real mismatches, over PCR data."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.core.dataset import load_features, read_metadata
 from repro.oracle import assert_equivalent
 
+SIZES_BY_LABEL = (
+    "SELECT label, sum(progressive_bytes) AS bytes, count(*) AS n "
+    "FROM meta GROUP BY label"
+)
 
-def test_oracle_accepts_matching_aggregation(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty"), F.count("*").alias("n")
+
+def test_oracle_accepts_matching_aggregation(spark, celeba_dir):
+    meta = read_metadata(spark, celeba_dir)
+    got = meta.groupBy("label").agg(
+        F.sum("progressive_bytes").alias("bytes"), F.count("*").alias("n")
     )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS n "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
-    )
+    assert_equivalent(got, SIZES_BY_LABEL, meta=meta)
 
 
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.sum("l_quantity") + 1).alias("qty")
+def test_oracle_rejects_wrong_result(spark, celeba_dir):
+    meta = read_metadata(spark, celeba_dir)
+    wrong = meta.groupBy("label").agg(
+        (F.sum("progressive_bytes") + 1).alias("bytes"), F.count("*").alias("n")
     )
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, sum(l_quantity) AS qty "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
-        )
+        assert_equivalent(wrong, SIZES_BY_LABEL, meta=meta)
 
 
-def test_oracle_join_path(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
+def test_oracle_join_path(spark, celeba_dir):
+    """The features-to-metadata join that ``collect_features`` runs."""
+    feats = load_features(spark, celeba_dir, 1).select("record", "pos", "label")
+    meta = read_metadata(spark, celeba_dir)
     got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("n"))
+        feats.join(meta.select("record", "pos", "is_test"), on=["record", "pos"])
+        .groupBy("is_test")
+        .agg(F.count("*").alias("n"), F.sum("label").alias("positives"))
     )
     assert_equivalent(
         got,
-        "SELECT o_orderpriority, count(*) AS n FROM lineitem "
-        "JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-        lineitem=li,
-        orders=o,
+        "SELECT is_test, count(*) AS n, sum(feats.label) AS positives "
+        "FROM feats JOIN meta USING (record, pos) GROUP BY is_test",
+        feats=feats,
+        meta=meta,
     )

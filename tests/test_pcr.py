@@ -1,4 +1,5 @@
 """Unit tests for the PCR record format (paper Fig 4 layout)."""
+import hashlib
 import os
 
 import numpy as np
@@ -27,6 +28,26 @@ def record(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("pcr") / "r.pcr")
     info = pcr.write_pcr(path, list(zip(progs, labels)))
     return path, info, progs, labels
+
+
+def test_golden_bytes(record, tmp_path):
+    """Pins the on-disk format: celeba_lite images 0-3 give exactly these bytes."""
+    _, _, progs, labels = record
+    path = str(tmp_path / "golden.pcr")
+    info = pcr.write_pcr(path, list(zip(progs[:4], labels[:4])))
+    with open(path, "rb") as f:
+        data = f.read()
+    assert len(data) == 6645
+    assert hashlib.sha256(data).hexdigest() == (
+        "ea7efb21c3b3858c864c4a0402fbfec69100b9b69c2f5a0ac1025dc18a34064a"
+    )
+    assert info.group_end == [2245, 3781, 3950, 4003, 5483, 6135, 6426, 6522, 6589, 6645]
+    back = pcr.read_index(path)
+    assert back == info
+    # The index and the JPEG headers end where scan group 1 starts.
+    assert back.index_bytes + sum(back.header_lens) == (
+        back.group_end[0] - sum(back.scan_lens[0])
+    )
 
 
 def test_file_size_equals_last_group_end(record):

@@ -14,9 +14,11 @@ from repro.core.dataset import (
     read_metadata,
     record_paths,
 )
-from repro.jpeg import N_SCANS
+from repro.formats import tfrecord
+from repro.jpeg import N_SCANS, decode
 from repro.oracle import assert_equivalent
 from repro.synth_images import SPECS, n_images
+from repro.train.features import extract_features
 
 
 def test_record_files_exist(spark, celeba_dir):
@@ -97,20 +99,27 @@ def test_collect_features_join_complete(spark, celeba_dir):
     assert pdf[["record", "pos"]].duplicated().sum() == 0
 
 
-def test_tfrecord_and_pcr_labels_agree(spark, celeba_dir):
-    a = collect_features(spark, celeba_dir, N_SCANS, source="pcr")
-    b = collect_features(spark, celeba_dir, N_SCANS, source="tfrecord")
-    assert (a["label"].to_numpy() == b["label"].to_numpy()).all()
+def _pcr_and_tfrecord_twins(out_dir):
+    """(PCR at full fidelity, baseline TFRecord twin) items of every record."""
+    for path in record_paths(out_dir):
+        twin = path[: -len(".pcr")] + ".tfrec"
+        yield pcr.read_pcr(path, N_SCANS), tfrecord.read_tfrecord(twin)
 
 
-def test_tfrecord_and_pcr_full_fidelity_features_identical(spark, celeba_dir):
+def test_tfrecord_and_pcr_labels_agree(celeba_dir):
+    for a, b in _pcr_and_tfrecord_twins(celeba_dir):
+        assert [label for label, _ in a] == [label for label, _ in b]
+
+
+def test_tfrecord_and_pcr_full_fidelity_features_identical(celeba_dir):
     """Scan 10 decodes to the same pixels as the baseline twin (lossless
-    transcode), so features must match to float precision."""
-    a = collect_features(spark, celeba_dir, N_SCANS, source="pcr")
-    b = collect_features(spark, celeba_dir, N_SCANS, source="tfrecord")
-    fa = np.stack(a["features"].to_numpy())
-    fb = np.stack(b["features"].to_numpy())
-    assert np.allclose(fa, fb, atol=1e-9)
+    transcode), so features must be bit-equal."""
+    for a, b in _pcr_and_tfrecord_twins(celeba_dir):
+        assert len(a) == len(b)
+        for (_, ja), (_, jb) in zip(a, b):
+            assert np.array_equal(
+                extract_features(decode(ja)), extract_features(decode(jb))
+            )
 
 
 def test_lower_scan_features_differ(spark, celeba_dir):
