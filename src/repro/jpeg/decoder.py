@@ -7,6 +7,17 @@ cleanly: missing scans simply leave their coefficient bands at zero,
 and a scan cut mid-stream keeps whatever blocks completed (matching
 "most JPEG decoders render the image with the available subset of
 scans", paper Section 5).
+
+Each scan loop keeps its bit buffer in local variables: ``acc`` holds
+``nb`` unread bits, at least 32 between symbols (a code plus its extra
+bits is at most 31), refilled a 32-bit word at a time from
+``huffman.segment_words``. One ``Lookahead`` lookup on the next
+``LOOKAHEAD_BITS`` bits decodes a symbol with its extra bits.
+A symbol whose bits run past the segment's real bits raises EOFError
+before its value is stored: with ``wi`` words loaded, that is ``nb``
+falling below ``eof_nb = 32 * wi - n_bits``. Values are stored at flat
+index ``block * 64 + k`` through a memoryview of the component's
+``int32`` array, which avoids a numpy scalar assignment per coefficient.
 """
 import struct
 
@@ -14,8 +25,12 @@ import numpy as np
 
 from . import markers
 from .codec import CoeffImage, Component, inverse
-from .huffman import BitReader, HuffmanTable, extend
+from .huffman import LOOKAHEAD_BITS, HuffmanTable, segment_words
 from .quant import UNZIGZAG
+
+_K = LOOKAHEAD_BITS
+_KMASK = (1 << _K) - 1
+_M32 = 0xFFFFFFFF
 
 
 def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
@@ -24,9 +39,7 @@ def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
         pq, tq = payload[i] >> 4, payload[i] & 0xF
         assert pq == 0, "only 8-bit quant tables supported"
         zz = np.frombuffer(payload[i + 1 : i + 65], dtype=np.uint8).astype(np.int32)
-        nat = np.zeros(64, dtype=np.int32)
-        nat = zz[UNZIGZAG]
-        qtables[tq] = nat.reshape(8, 8)
+        qtables[tq] = zz[UNZIGZAG].reshape(8, 8)
         i += 65
 
 
@@ -59,55 +72,146 @@ class _Frame:
         self.coeffs = [
             np.zeros((self.n_blocks, 64), dtype=np.int32) for _ in range(nf)
         ]
+        self.flat = [memoryview(a.reshape(-1)) for a in self.coeffs]
 
 
-def _decode_dc_scan(r: BitReader, frame: _Frame, comps: list[int],
-                    dc_tabs: list[HuffmanTable]) -> None:
+def _dc_scan(entropy: bytes, n_blocks: int, tabs: list[HuffmanTable],
+             outs: list[memoryview]) -> None:
+    """DC-first scan, interleaved over the scan's components."""
+    words, n_bits = segment_words(entropy)
+    acc, nb, wi = words[0] << 32 | words[1], 64, 2
+    eof_nb = 64 - n_bits
+    refill_at = eof_nb if eof_nb > 32 else 32
+    comps = [(t.lookahead.fast, t.lookahead.slow, o) for t, o in zip(tabs, outs)]
     preds = [0] * len(comps)
-    for m in range(frame.n_blocks):
-        for j, c in enumerate(comps):
-            size = r.read_symbol(dc_tabs[j])
-            diff = extend(r.read(size), size)
-            preds[j] += diff
-            frame.coeffs[c][m, 0] = preds[j]
+    for base in range(0, n_blocks << 6, 64):
+        for j, (fast, slow, out) in enumerate(comps):
+            n, _, v = fast[acc >> (nb - _K) & _KMASK]
+            if v is None:
+                n, _, v = slow(acc >> (nb - 32) & _M32)
+            nb -= n
+            if nb < refill_at:
+                if nb < eof_nb:
+                    raise EOFError("entropy segment exhausted")
+                acc = (acc & ((1 << nb) - 1)) << 32 | words[wi]
+                wi += 1
+                nb += 32
+                eof_nb += 32
+                refill_at = eof_nb if eof_nb > 32 else 32
+            preds[j] += v
+            out[base] = preds[j]
 
 
-def _decode_sequential_ac(r: BitReader, tab: HuffmanTable, out: np.ndarray) -> None:
-    k = 1
-    while k < 64:
-        sym = r.read_symbol(tab)
-        run, size = sym >> 4, sym & 0xF
-        if size == 0:
-            if run == 15:
-                k += 16
-                continue
-            break  # EOB
-        k += run
-        out[k] = extend(r.read(size), size)
-        k += 1
-
-
-def _decode_progressive_ac_scan(r: BitReader, frame: _Frame, c: int,
-                                ss: int, se: int, tab: HuffmanTable) -> None:
-    eobrun = 0
-    coeffs = frame.coeffs[c]
-    for b in range(frame.n_blocks):
-        if eobrun > 0:
-            eobrun -= 1
-            continue
+def _ac_band_scan(entropy: bytes, n_blocks: int, ss: int, se: int,
+                  tab: HuffmanTable, out: memoryview) -> None:
+    """Progressive first-pass AC scan of band ``ss..se`` of one component
+    (G.1.2.2, with EOB runs)."""
+    words, n_bits = segment_words(entropy)
+    acc, nb, wi = words[0] << 32 | words[1], 64, 2
+    eof_nb = 64 - n_bits
+    refill_at = eof_nb if eof_nb > 32 else 32
+    fast, slow = tab.lookahead.fast, tab.lookahead.slow
+    b = 0
+    while b < n_blocks:
+        base = b << 6
+        b += 1
         k = ss
         while k <= se:
-            sym = r.read_symbol(tab)
-            run, size = sym >> 4, sym & 0xF
-            if size == 0:
-                if run == 15:
-                    k += 16
-                    continue
-                eobrun = (1 << run) + (r.read(run) if run else 0) - 1
+            n, r, v = fast[acc >> (nb - _K) & _KMASK]
+            if v is None:
+                n, r, v = slow(acc >> (nb - 32) & _M32)
+            nb -= n
+            if nb < refill_at:
+                if nb < eof_nb:
+                    raise EOFError("entropy segment exhausted")
+                acc = (acc & ((1 << nb) - 1)) << 32 | words[wi]
+                wi += 1
+                nb += 32
+                eof_nb += 32
+                refill_at = eof_nb if eof_nb > 32 else 32
+            if v:
+                k += r
+                out[base + k] = v
+                k += 1
+            elif r > 0:
+                k += 16
+            else:
+                b -= r + 1  # this block and -r - 1 more end here
                 break
-            k += run
-            coeffs[b, k] = extend(r.read(size), size)
-            k += 1
+
+
+def _baseline_scan(entropy: bytes, n_blocks: int, dc_tabs: list[HuffmanTable],
+                   ac_tabs: list[HuffmanTable], outs: list[memoryview]) -> None:
+    """Baseline interleaved scan: DC and AC of every block, per component."""
+    words, n_bits = segment_words(entropy)
+    acc, nb, wi = words[0] << 32 | words[1], 64, 2
+    eof_nb = 64 - n_bits
+    refill_at = eof_nb if eof_nb > 32 else 32
+    comps = [
+        (d.lookahead.fast, d.lookahead.slow, a.lookahead.fast, a.lookahead.slow, o)
+        for d, a, o in zip(dc_tabs, ac_tabs, outs)
+    ]
+    preds = [0] * len(comps)
+    for base in range(0, n_blocks << 6, 64):
+        for j, (dfast, dslow, afast, aslow, out) in enumerate(comps):
+            n, _, v = dfast[acc >> (nb - _K) & _KMASK]
+            if v is None:
+                n, _, v = dslow(acc >> (nb - 32) & _M32)
+            nb -= n
+            if nb < refill_at:
+                if nb < eof_nb:
+                    raise EOFError("entropy segment exhausted")
+                acc = (acc & ((1 << nb) - 1)) << 32 | words[wi]
+                wi += 1
+                nb += 32
+                eof_nb += 32
+                refill_at = eof_nb if eof_nb > 32 else 32
+            preds[j] += v
+            out[base] = preds[j]
+            k = 1
+            while k < 64:
+                n, r, v = afast[acc >> (nb - _K) & _KMASK]
+                if v is None:
+                    n, r, v = aslow(acc >> (nb - 32) & _M32)
+                nb -= n
+                if nb < refill_at:
+                    if nb < eof_nb:
+                        raise EOFError("entropy segment exhausted")
+                    acc = (acc & ((1 << nb) - 1)) << 32 | words[wi]
+                    wi += 1
+                    nb += 32
+                    eof_nb += 32
+                    refill_at = eof_nb if eof_nb > 32 else 32
+                if v:
+                    k += r
+                    out[base + k] = v
+                    k += 1
+                elif r > 0:
+                    k += 16
+                else:
+                    break  # EOB
+
+
+def _decode_scan(frame: _Frame, payload: bytes, entropy: bytes,
+                 htables: dict[tuple[int, int], HuffmanTable]) -> None:
+    ns = payload[0]
+    outs, dc_tabs, ac_tabs = [], [], []
+    for j in range(ns):
+        cid, tda = payload[1 + 2 * j : 3 + 2 * j]
+        outs.append(frame.flat[frame.comp_ids.index(cid)])
+        dc_tabs.append(htables.get((0, tda >> 4)))
+        ac_tabs.append(htables.get((1, tda & 0xF)))
+    ss, se, _ = payload[1 + 2 * ns : 4 + 2 * ns]
+    try:
+        if ss == 0 and se == 63 and not frame.progressive:
+            _baseline_scan(entropy, frame.n_blocks, dc_tabs, ac_tabs, outs)
+        elif ss == 0 and se == 0:
+            _dc_scan(entropy, frame.n_blocks, dc_tabs, outs)
+        else:
+            assert ns == 1, "progressive AC scans are single-component"
+            _ac_band_scan(entropy, frame.n_blocks, ss, se, ac_tabs[0], outs[0])
+    except EOFError:
+        pass  # truncated final scan: keep what decoded so far
 
 
 def decode_to_coeffs(data: bytes) -> CoeffImage:
@@ -124,39 +228,7 @@ def decode_to_coeffs(data: bytes) -> CoeffImage:
             frame = _Frame(seg.payload, progressive=seg.marker == markers.SOF2)
         elif seg.marker == markers.SOS:
             assert frame is not None, "SOS before SOF"
-            p = seg.payload
-            ns = p[0]
-            scan_comps, dc_ids, ac_ids = [], [], []
-            for j in range(ns):
-                cid, tda = p[1 + 2 * j : 3 + 2 * j]
-                scan_comps.append(frame.comp_ids.index(cid))
-                dc_ids.append(tda >> 4)
-                ac_ids.append(tda & 0xF)
-            ss, se, ahal = p[1 + 2 * ns : 4 + 2 * ns]
-            r = BitReader(seg.entropy)
-            try:
-                if ss == 0 and (not frame.progressive) and se == 63:
-                    # Baseline interleaved scan: DC + AC per block.
-                    preds = [0] * ns
-                    dts = [htables[(0, d)] for d in dc_ids]
-                    ats = [htables[(1, a)] for a in ac_ids]
-                    for m in range(frame.n_blocks):
-                        for j, c in enumerate(scan_comps):
-                            size = r.read_symbol(dts[j])
-                            preds[j] += extend(r.read(size), size)
-                            frame.coeffs[c][m, 0] = preds[j]
-                            _decode_sequential_ac(r, ats[j], frame.coeffs[c][m])
-                elif ss == 0 and se == 0:
-                    _decode_dc_scan(
-                        r, frame, scan_comps, [htables[(0, d)] for d in dc_ids]
-                    )
-                else:
-                    assert ns == 1, "progressive AC scans are single-component"
-                    _decode_progressive_ac_scan(
-                        r, frame, scan_comps[0], ss, se, htables[(1, ac_ids[0])]
-                    )
-            except EOFError:
-                pass  # truncated final scan: keep what decoded so far
+            _decode_scan(frame, seg.payload, seg.entropy, htables)
     assert frame is not None, "no frame found"
     comps = [
         Component(frame.comp_ids[c], frame.qtab_ids[c], frame.coeffs[c],

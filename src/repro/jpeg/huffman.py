@@ -9,12 +9,19 @@ use it for every scan so baseline/progressive sizes are comparable.
 
 Bit I/O implements the entropy-coded segment rules: MSB-first bits,
 0xFF byte stuffing on write, 1-padding at flush, unstuffing on read.
+
+Decoding uses ``Lookahead`` tables (the libjpeg ``jdhuff.c`` fast path,
+T.81 Annex F): one list lookup on the next ``LOOKAHEAD_BITS`` bits
+yields a whole symbol together with its extra bits, so the decoder's
+scan loops spend one lookup per coefficient.
 """
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_CODE_LEN = 16
+LOOKAHEAD_BITS = 10
 
 
 @dataclass
@@ -28,7 +35,7 @@ class HuffmanTable:
     bits: list[int]
     values: list[int]
     _enc: dict[int, tuple[int, int]] = field(default=None, repr=False, compare=False)
-    _dec: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False, compare=False)
+    _look: "Lookahead" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.bits) == MAX_CODE_LEN
@@ -55,18 +62,11 @@ class HuffmanTable:
         return self._enc
 
     @property
-    def decoder(self) -> tuple[np.ndarray, np.ndarray]:
-        """(symbols, lengths) lookup arrays indexed by the next 16 bits."""
-        if self._dec is None:
-            syms = np.full(1 << MAX_CODE_LEN, -1, dtype=np.int16)
-            lens = np.zeros(1 << MAX_CODE_LEN, dtype=np.int8)
-            for s, c, l in self.codes():
-                lo = c << (MAX_CODE_LEN - l)
-                hi = (c + 1) << (MAX_CODE_LEN - l)
-                syms[lo:hi] = s
-                lens[lo:hi] = l
-            self._dec = (syms, lens)
-        return self._dec
+    def lookahead(self) -> "Lookahead":
+        """Decode table, built on first use."""
+        if self._look is None:
+            self._look = Lookahead(self)
+        return self._look
 
 
 def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
@@ -172,56 +172,6 @@ class BitWriter:
         return bytes(self._buf)
 
 
-class BitReader:
-    """MSB-first bit reader over an entropy-coded (stuffed) segment.
-
-    Raises EOFError when reading past the end; Huffman lookups pad with
-    1-bits at the tail, matching the encoder's flush padding.
-    """
-
-    def __init__(self, data: bytes):
-        # Unstuff: every 0xFF in real entropy data is followed by 0x00.
-        self._data = data.replace(b"\xff\x00", b"\xff")
-        self._pos = 0  # next byte index
-        self._acc = 0
-        self._nbits = 0
-
-    def _fill(self, need: int) -> None:
-        while self._nbits < need:
-            if self._pos >= len(self._data):
-                raise EOFError("entropy segment exhausted")
-            self._acc = (self._acc << 8) | self._data[self._pos]
-            self._pos += 1
-            self._nbits += 8
-
-    def read(self, nbits: int) -> int:
-        if nbits == 0:
-            return 0
-        self._fill(nbits)
-        self._nbits -= nbits
-        val = (self._acc >> self._nbits) & ((1 << nbits) - 1)
-        self._acc &= (1 << self._nbits) - 1
-        return val
-
-    def read_symbol(self, table: HuffmanTable) -> int:
-        syms, lens = table.decoder
-        # Peek up to 16 bits, padding with 1s at stream end (flush padding).
-        avail = self._nbits + 8 * (len(self._data) - self._pos)
-        if avail <= 0:
-            raise EOFError("entropy segment exhausted")
-        n = min(MAX_CODE_LEN, avail)
-        self._fill(n)
-        window = (self._acc >> (self._nbits - n)) & ((1 << n) - 1)
-        idx = (window << (MAX_CODE_LEN - n)) | ((1 << (MAX_CODE_LEN - n)) - 1)
-        length = int(lens[idx])
-        sym = int(syms[idx])
-        if sym < 0 or length > avail:
-            raise EOFError("invalid/truncated Huffman code")
-        self._nbits -= length
-        self._acc &= (1 << self._nbits) - 1
-        return sym
-
-
 def magnitude_category(v: int) -> int:
     """JPEG magnitude category (number of extra bits) for a DC diff / AC coef."""
     return int(abs(v)).bit_length()
@@ -242,3 +192,120 @@ def extend(bits_value: int, size: int) -> int:
     if bits_value < (1 << (size - 1)):
         return bits_value - (1 << size) + 1
     return bits_value
+
+
+_EXTENDED = [tuple(extend(x, s) for x in range(1 << s)) for s in range(LOOKAHEAD_BITS + 1)]
+
+
+def _extra_bits(symbol: int) -> int:
+    """Number of bits that follow ``symbol``'s code in the stream.
+
+    A magnitude of size ``s`` for run/size symbols; ``r`` bits of run
+    length for an EOBr symbol (``r << 4``, r < 15); none for ZRL. A DC
+    symbol is its magnitude category, i.e. run 0 and size ``s``.
+    """
+    run, size = symbol >> 4, symbol & 0xF
+    return size or (run if run != 15 else 0)
+
+
+def _entry(length: int, symbol: int, extra: int) -> tuple[int, int, int]:
+    """``(bits consumed, run, value)`` for ``symbol`` coded in ``length``
+    bits and followed by its extra bits ``extra``."""
+    run, size = symbol >> 4, symbol & 0xF
+    if size:
+        return length + size, run, extend(extra, size)
+    if run == 15:  # ZRL: sixteen zeros
+        return length, 15, 0
+    return length + run, -((1 << run) + extra), 0  # end of band
+
+
+class Lookahead:
+    """One-lookup decode table for a ``HuffmanTable``.
+
+    ``fast[w]``, for ``w`` the next ``LOOKAHEAD_BITS`` bits of the stream,
+    is ``(bits consumed, run, value)`` for the symbol that starts ``w``
+    together with its extra bits, whenever both fit in ``w``:
+
+    * ``value != 0``: a coefficient after ``run`` zeros (AC), or a DC
+      difference;
+    * ``value == 0, run == 15``: ZRL, sixteen zeros;
+    * ``value == 0, run < 0``: end of band for ``-run`` blocks (1 for
+      EOB, ``2**r + bits`` for EOBr). A DC category-0 symbol reads as
+      this form too, i.e. as a zero difference.
+
+    Otherwise ``value`` is None and ``slow`` decodes the symbol from a
+    32-bit window: the entry is ``(code length, symbol, None)`` when the
+    code fits but its extra bits do not, and ``(0, 0, None)`` when the
+    code is longer than ``LOOKAHEAD_BITS`` (libjpeg's ``maxcode`` search).
+    """
+
+    __slots__ = ("fast", "_maxcode", "_valoff", "_values")
+
+    def __init__(self, table: HuffmanTable):
+        k = LOOKAHEAD_BITS
+        fast = [(0, 0, None)] * (1 << k)
+        for symbol, code, length in table.codes():
+            if length > k:
+                break
+            lo, hi = code << (k - length), (code + 1) << (k - length)
+            used = length + _extra_bits(symbol)
+            if used > k:
+                fast[lo:hi] = [(length, symbol, None)] * (hi - lo)
+                continue
+            # The same entries as _entry(length, symbol, x) for every x.
+            run, size = symbol >> 4, symbol & 0xF
+            if size:
+                entries = [(used, run, v) for v in _EXTENDED[size]]
+            elif run == 15:
+                entries = [(used, 15, 0)]
+            else:
+                entries = [(used, -n, 0) for n in range(1 << run, 2 << run)]
+            rep = 1 << (k - used)
+            if rep < len(entries):
+                for j in range(rep):
+                    fast[lo + j : hi : rep] = entries
+            else:
+                for i, e in enumerate(entries):
+                    fast[lo + i * rep : lo + (i + 1) * rep] = [e] * rep
+        self.fast = fast
+        self._maxcode = [-1] * (MAX_CODE_LEN + 1)
+        self._valoff = [0] * (MAX_CODE_LEN + 1)
+        self._values = table.values
+        code = first = 0
+        for length in range(1, MAX_CODE_LEN + 1):
+            count = table.bits[length - 1]
+            if count:
+                self._valoff[length] = first - code
+                self._maxcode[length] = code + count - 1
+            code = (code + count) << 1
+            first += count
+
+    def slow(self, window: int) -> tuple[int, int, int]:
+        """Decode the symbol that starts the 32-bit ``window``.
+
+        Raises EOFError when no code matches, as happens when the window
+        runs into the 1-bits padding a truncated stream.
+        """
+        length, symbol, _ = self.fast[window >> (32 - LOOKAHEAD_BITS)]
+        if not length:
+            for length in range(LOOKAHEAD_BITS + 1, MAX_CODE_LEN + 1):
+                code = window >> (32 - length)
+                if code <= self._maxcode[length]:
+                    symbol = self._values[code + self._valoff[length]]
+                    break
+            else:
+                raise EOFError("invalid or truncated Huffman code")
+        n = _extra_bits(symbol)
+        return _entry(length, symbol, (window >> (32 - length - n)) & ((1 << n) - 1))
+
+
+def segment_words(data: bytes) -> tuple[tuple[int, ...], int]:
+    """Unstuff an entropy-coded segment into big-endian 32-bit words.
+
+    Returns ``(words, n_bits)``: the segment's bits, MSB first, followed
+    by at least 72 1-bits (the encoder's flush padding, so lookups may
+    read past the end), and the number of real bits.
+    """
+    raw = data.replace(b"\xff\x00", b"\xff")
+    n = len(raw) // 4 + 3
+    return struct.unpack(f">{n}I", raw + b"\xff" * (4 * n - len(raw))), 8 * len(raw)

@@ -42,17 +42,21 @@ def seg(marker: int, payload: bytes = b"") -> bytes:
 
 def _entropy_end(data: bytes, start: int) -> int:
     """End of an entropy-coded segment: next 0xFF not followed by 0x00."""
-    i = start
     n = len(data)
-    while i < n - 1:
-        if data[i] == 0xFF and data[i + 1] != 0x00:
+    i = data.find(b"\xff", start)
+    while 0 <= i < n - 1:
+        if data[i + 1] != 0x00:
             return i
-        i += 1
+        i = data.find(b"\xff", i + 2)
     return n
 
 
 def parse(data: bytes) -> list[Segment]:
-    """Parse a (possibly truncated) JPEG stream into segments."""
+    """Parse a (possibly truncated) JPEG stream into segments.
+
+    A stream cut inside a marker segment ends before that segment, so a
+    cut anywhere after a scan still yields every complete scan before it.
+    """
     assert data[:2] == struct.pack(">H", SOI), "not a JPEG (missing SOI)"
     segs = [Segment(SOI, 0, 2, b"")]
     i = 2
@@ -63,9 +67,12 @@ def parse(data: bytes) -> list[Segment]:
         if marker == EOI:
             segs.append(Segment(EOI, i, i + 2, b""))
             break
-        length = struct.unpack(">H", data[i + 2 : i + 4])[0]
-        payload = data[i + 4 : i + 2 + length]
-        end = i + 2 + length
+        if i + 4 > n:
+            break  # cut inside the length field
+        end = i + 2 + struct.unpack(">H", data[i + 2 : i + 4])[0]
+        if end > n:
+            break  # cut inside the segment
+        payload = data[i + 4 : end]
         if marker == SOS:
             e_end = _entropy_end(data, end)
             segs.append(Segment(SOS, i, e_end, payload, entropy=data[end:e_end]))

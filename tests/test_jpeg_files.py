@@ -1,6 +1,10 @@
 """End-to-end tests of baseline/progressive JPEG files, markers, truncation."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.jpeg import (
     N_SCANS,
@@ -14,13 +18,16 @@ from repro.jpeg import (
     truncate_to_scans,
 )
 from repro.jpeg import markers
+from repro.jpeg.codec import forward
+from repro.jpeg.progressive import script_for
 from repro.metrics.mssim import msssim
+from repro.synth_images import SPECS, generate_image
 
 
-def _image(h=64, w=64, seed=0, color=True):
+def _image(h=64, w=64, seed=0, color=True, noise=7.0):
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
-    g = 128 + 45 * np.sin(xx / 8) + 35 * np.cos(yy / 6 + 1) + 7 * rng.standard_normal((h, w))
+    g = 128 + 45 * np.sin(xx / 8) + 35 * np.cos(yy / 6 + 1) + noise * rng.standard_normal((h, w))
     if not color:
         return np.clip(g, 0, 255).astype(np.uint8)
     rgb = np.stack([g, 0.85 * g + 15, 250 - 0.7 * g], axis=-1)
@@ -164,3 +171,73 @@ def test_eoi_termination_trick():
     t = truncate_to_scans(p, 3)
     assert t[-2:] == markers.EOI_BYTES
     decode(t)
+
+
+def _celeba_pair(i):
+    spec = SPECS["celeba_lite"]
+    b = encode_baseline(generate_image(spec, i)[0], spec.quality)
+    return b, baseline_to_progressive(b)
+
+
+def _coeffs(data):
+    return [c.coeffs for c in decode_to_coeffs(data).components]
+
+
+def test_every_cut_serves_the_scans_it_contains():
+    # A stream cut anywhere after scan 1 (also inside a later scan's
+    # marker segment) decodes without error, keeps only coefficients of
+    # the full decode, and at a scan boundary equals truncate_to_scans.
+    _, p = _celeba_pair(3)
+    _, spans = scan_spans(p)
+    full = _coeffs(p)
+    boundaries = {e: g for g, (_, e) in enumerate(spans, start=1)}
+    for n in range(spans[0][1], len(p) + 1):
+        got = _coeffs(p[:n])
+        for a, f in zip(got, full):
+            assert np.all((a == 0) | (a == f)), n
+        if n in boundaries:
+            want = _coeffs(truncate_to_scans(p, boundaries[n]))
+            assert all(np.array_equal(a, w) for a, w in zip(got, want)), n
+
+
+@given(
+    h=st.integers(8, 40),
+    w=st.integers(8, 40),
+    quality=st.integers(50, 100),
+    color=st.booleans(),
+    noise=st.floats(0, 80),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_decode_matches_forward_transform_oracle(h, w, quality, color, noise, seed):
+    # Scan-prefix decode = forward(img) with every band outside the first
+    # g scans zeroed (monotone in g, prefix = truncate_to_scans); baseline
+    # decode = forward(img). forward() shares no code with the decoder.
+    img = _image(h, w, seed, color, noise)
+    ref = [c.coeffs for c in forward(img, quality).components]
+    assert all(np.array_equal(a, r) for a, r in zip(_coeffs(encode_baseline(img, quality)), ref))
+    p = encode_progressive(img, quality)
+    keep = [np.zeros(64, dtype=bool) for _ in ref]
+    for g, (comp, ss, se) in enumerate(script_for(len(ref)), start=1):
+        for c in range(len(ref)) if comp is None else [comp]:
+            keep[c][ss : se + 1] = True
+        got = _coeffs(truncate_to_scans(p, g))
+        assert all(np.array_equal(a, r * k) for a, r, k in zip(got, ref, keep)), g
+
+
+def test_golden_coefficient_digest():
+    # Pins the decoder's output bit for bit: celeba_lite images 0-3 at
+    # scans 1/5/10 and their baseline twins, plus the mid-scan cut of
+    # test_truncated_mid_scan_still_decodes.
+    h = hashlib.sha256()
+    streams = []
+    for i in range(4):
+        b, p = _celeba_pair(i)
+        streams += [truncate_to_scans(p, g) for g in (1, 5, 10)] + [b]
+    p = encode_progressive(_image(), 90)
+    _, spans = scan_spans(p)
+    streams.append(p[: (spans[3][0] + spans[3][1]) // 2] + markers.EOI_BYTES)
+    for data in streams:
+        for c in _coeffs(data):
+            h.update(c.astype("<i4").tobytes())
+    assert h.hexdigest() == "52badcce7af9fb32c4a3c4f1a1dfbca584b3a7817259247eb7d76721342c2ad6"
