@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import pcr
-from repro.core.dataset import record_paths
+from repro.core.dataset import record_paths, tfrecord_path
 from repro.formats import tfrecord
 
 
@@ -14,6 +14,6 @@ def test_bench_reader_pcr_prefix(benchmark, bench_dir, scan):
 
 
 def test_bench_reader_tfrecord(benchmark, bench_dir):
-    path = record_paths(bench_dir)[0].replace(".pcr", ".tfrec")
+    path = tfrecord_path(record_paths(bench_dir)[0])
     items = benchmark(tfrecord.read_tfrecord, path)
     assert len(items) > 0

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import pcr
-from repro.core.dataset import record_paths
+from repro.core.dataset import record_paths, tfrecord_path
 from repro.formats import tfrecord
 from repro.jpeg import decode
 
@@ -21,7 +21,7 @@ def test_bench_table2_decode_scan(benchmark, bench_dir, scan):
 
 
 def test_bench_table2_decode_baseline(benchmark, bench_dir):
-    path = record_paths(bench_dir)[0].replace(".pcr", ".tfrec")
+    path = tfrecord_path(record_paths(bench_dir)[0])
     jpegs = [j for _, j in tfrecord.read_tfrecord(path)[:8]]
     for j in jpegs:
         decode(j)

@@ -9,11 +9,12 @@ a ``.tfrec`` baseline-format twin for comparisons). Per-image metadata
 back as a DataFrame and is persisted to a parquet sidecar, playing the
 paper's SQLite/RocksDB metadata role.
 
-Decoding (paper §5 "Decoding"/"Loader"): ``load_features`` maps over
-record files, performs the single prefix read per record at the
-requested scan group, reassembles + decodes each image in the executor,
-and extracts model features — the per-partition variable-fidelity read
-path this reproduction is about.
+Decoding (paper §5 "Decoding"/"Loader"): ``load_features`` is one map
+stage with one partition per record; each task does its record's single
+prefix read at the requested scan group, decodes each image and extracts
+model features. ``collect_features`` attaches the sidecar's task labels
+and split on the driver — the variable-fidelity read path this
+reproduction is about.
 """
 import os
 import time
@@ -57,6 +58,11 @@ def record_paths(out_dir: str) -> list[str]:
     )
 
 
+def tfrecord_path(pcr_path: str) -> str:
+    """The baseline TFRecord twin written beside a ``.pcr`` record file."""
+    return os.path.splitext(pcr_path)[0] + ".tfrec"
+
+
 def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
                       sf: float = 1.0) -> DataFrame:
     """Encode a synthetic dataset into PCR + TFRecord files under ``out_dir``.
@@ -91,7 +97,7 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
             rec_path, list(zip(progressives, (l["label"] for l in labels)))
         )
         tfrecord.write_tfrecord(
-            os.path.join(out_dir, f"record_{pid:04d}.tfrec"),
+            tfrecord_path(rec_path),
             list(zip(baselines, (l["label"] for l in labels))),
         )
         t3 = time.perf_counter()
@@ -130,16 +136,15 @@ def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
 def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFrame:
     """Decode a dataset's PCRs at a scan group and extract features, in Spark.
 
-    Each record is one prefix read at ``scan_group``. Join with
-    ``read_metadata`` on (record, pos) for task labels/splits.
+    One partition per record file, so one task does each record's single
+    prefix read at ``scan_group``. Rows come out in (record, pos) order.
     """
     paths = record_paths(out_dir)
-    pdf = pd.DataFrame({"path": paths})
-    df = spark.createDataFrame(pdf).repartition(len(paths))
 
     def decode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
-            for path in b["path"]:
+            for i in b["id"]:
+                path = paths[i]
                 rows = []
                 for pos, (label, jpeg) in enumerate(pcr.read_pcr(path, scan_group)):
                     img = decode(jpeg)
@@ -153,26 +158,27 @@ def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFra
                     )
                 yield pd.DataFrame(rows)
 
-    return df.mapInPandas(decode_partition, schema=_FEAT_SCHEMA)
+    ids = spark.range(0, len(paths), numPartitions=len(paths))
+    return ids.mapInPandas(decode_partition, schema=_FEAT_SCHEMA)
 
 
 def collect_features(spark: SparkSession, out_dir: str,
                      scan_group: int) -> pd.DataFrame:
     """Features joined with metadata, collected to pandas (small datasets).
 
-    The join runs in Spark (on (record, pos)); the result carries all
-    task labels (label/make/is_zero) and the train/test split.
+    The metadata sidecar is joined on the driver on (record, pos); the
+    result carries all task labels (label/make/is_zero) and the
+    train/test split, one row per image in (record, pos) order.
     """
-    feats = load_features(spark, out_dir, scan_group)
-    meta = read_metadata(spark, out_dir).select(
-        "record", "pos", "idx", "make", "is_zero", "is_test"
+    feats = load_features(spark, out_dir, scan_group).toPandas()
+    meta = pd.read_parquet(
+        os.path.join(out_dir, "metadata.parquet"),
+        columns=["record", "pos", "idx", "make", "is_zero", "is_test"],
     )
-    joined = feats.join(meta, on=["record", "pos"], how="inner").orderBy(
-        "record", "pos"
-    )
-    pdf = joined.toPandas()
-    assert len(pdf) == meta.count(), "feature/metadata join lost rows"
-    return pdf
+    pdf = feats.merge(meta, on=["record", "pos"], validate="one_to_one")
+    if not len(pdf) == len(feats) == len(meta):
+        raise ValueError(f"{out_dir}: images and metadata rows do not match")
+    return pdf.sort_values(["record", "pos"], ignore_index=True)
 
 
 def features_to_arrays(pdf: pd.DataFrame, label_col: str = "label"):

@@ -19,7 +19,8 @@ from repro.core.analysis import (
     size_reduction_table,
     speedup_table,
 )
-from repro.core.dataset import dataset_summary, read_metadata, record_paths
+from repro.core.dataset import (dataset_summary, read_metadata, record_paths,
+                                tfrecord_path)
 from repro.formats import tfrecord
 from repro.iosim.pipeline import simulate_training, system_throughput
 from repro.iosim.storage import MiB, StorageModel
@@ -59,7 +60,7 @@ def table2_decode_rates(spark: SparkSession, sf: float = 1.0,
                 j for _, j in pcr.read_pcr(paths[0], g)[:n_images]
             ]
         variants["baseline"] = [
-            j for _, j in tfrecord.read_tfrecord(paths[0].replace(".pcr", ".tfrec"))[:n_images]
+            j for _, j in tfrecord.read_tfrecord(tfrecord_path(paths[0]))[:n_images]
         ]
         for key, datas in variants.items():
             for d in datas:
@@ -187,17 +188,16 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
             )
             .collect()[0]
         )
-        pcr_bytes = sum(os.path.getsize(p) for p in record_paths(out))
+        paths = record_paths(out)
+        pcr_bytes = sum(os.path.getsize(p) for p in paths)
         base_bytes = meta.agg(F.sum("baseline_bytes")).collect()[0][0]
 
-        paths = record_paths(out)
-        pdf = pd.DataFrame({"path": [p.replace(".pcr", ".tfrec") for p in paths]})
-        df = spark.createDataFrame(pdf).repartition(len(paths))
+        df = spark.range(0, len(paths), numPartitions=len(paths))
 
         def reencode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             for b in batches:
-                for path in b["path"]:
-                    items = tfrecord.read_tfrecord(path)
+                for i in b["id"]:
+                    items = tfrecord.read_tfrecord(tfrecord_path(paths[i]))
                     outrows = []
                     for q in qualities:
                         t0 = time.perf_counter()
@@ -276,11 +276,9 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
     n = 0
     for _ in range(reps):
         for p in paths:
-            n += len(tfrecord.read_tfrecord(p.replace(".pcr", ".tfrec")))
+            n += len(tfrecord.read_tfrecord(tfrecord_path(p)))
     measured = n / (time.perf_counter() - t0)
-    tf_bytes = sum(
-        os.path.getsize(p.replace(".pcr", ".tfrec")) for p in paths
-    )
+    tf_bytes = sum(os.path.getsize(tfrecord_path(p)) for p in paths)
     rows.append(
         {
             "config": "tfrecord",

@@ -81,6 +81,5 @@ def job_spark(app: str) -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

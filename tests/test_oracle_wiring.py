@@ -29,7 +29,8 @@ def test_oracle_rejects_wrong_result(spark, celeba_dir):
 
 
 def test_oracle_join_path(spark, celeba_dir):
-    """The features-to-metadata join that ``collect_features`` runs."""
+    """A Spark join of loader output to the metadata sidecar, checked
+    against DuckDB (``collect_features`` itself joins in pandas)."""
     feats = load_features(spark, celeba_dir, 1).select("record", "pos", "label")
     meta = read_metadata(spark, celeba_dir)
     got = (

@@ -1,7 +1,9 @@
 """Integration tests: Spark encode pipeline, PCR loaders, metadata oracle."""
 import os
+import shutil
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -13,6 +15,7 @@ from repro.core.dataset import (
     load_features,
     read_metadata,
     record_paths,
+    tfrecord_path,
 )
 from repro.formats import tfrecord
 from repro.jpeg import N_SCANS, decode
@@ -27,7 +30,7 @@ def test_record_files_exist(spark, celeba_dir):
     assert len(paths) == expected
     for p in paths:
         assert os.path.getsize(p) > 0
-        assert os.path.exists(p.replace(".pcr", ".tfrec"))
+        assert os.path.exists(tfrecord_path(p))
 
 
 def test_metadata_row_count_and_split(spark, celeba_dir):
@@ -93,17 +96,58 @@ def test_load_features_shape(spark, celeba_dir, g):
     assert all(len(r["features"]) == N_FEATURES for r in rows)
 
 
+def test_tfrecord_path_swaps_only_the_suffix():
+    assert tfrecord_path("/d/runs.pcr/record_0000.pcr") == "/d/runs.pcr/record_0000.tfrec"
+
+
+@pytest.mark.parametrize("dataset", ["celeba_dir", "cars_dir"])
+def test_load_features_one_record_per_partition(spark, request, dataset):
+    """One task per record file, holding all of that record's rows, and no
+    shuffle anywhere in the executed plan."""
+    out = request.getfixturevalue(dataset)
+    df = load_features(spark, out, 1)
+    parts = df.rdd.glom().collect()
+    paths = record_paths(out)
+    assert [{r["record"] for r in part} for part in parts] == [{p} for p in paths]
+    assert [[r["pos"] for r in part] for part in parts] == [
+        list(range(pcr.read_index(p).n_images)) for p in paths
+    ]
+    assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
+
+
 def test_collect_features_join_complete(spark, celeba_dir):
     pdf = collect_features(spark, celeba_dir, 5)
-    assert set(["record", "pos", "label", "features", "make", "is_zero", "is_test"]) <= set(pdf.columns)
-    assert pdf[["record", "pos"]].duplicated().sum() == 0
+    assert list(pdf.columns) == [
+        "record", "pos", "label", "features", "idx", "make", "is_zero", "is_test"
+    ]
+    assert len(pdf) == read_metadata(spark, celeba_dir).count()
+    keys = list(zip(pdf["record"], pdf["pos"]))
+    assert keys == sorted(set(keys))
+    for path, rows in pdf.groupby("record"):
+        assert rows["label"].tolist() == pcr.read_index(path).labels
+
+
+def test_collect_features_rejects_metadata_mismatch(spark, celeba_dir, tmp_path):
+    """A metadata row lost or duplicated must fail the load, not silently
+    drop or repeat an image."""
+    out = str(tmp_path / "celeba_lite")
+    shutil.copytree(celeba_dir, out)
+    meta_path = os.path.join(out, "metadata.parquet")
+    meta = pd.read_parquet(meta_path)
+    meta["record"] = meta["record"].str.replace(celeba_dir, out, regex=False)
+    shutil.rmtree(meta_path)  # Spark wrote a directory; pandas writes one file
+    meta.to_parquet(meta_path, index=False)
+    assert len(collect_features(spark, out, 1)) == len(meta)
+    for bad in (meta.drop(index=3), pd.concat([meta, meta.iloc[[3]]])):
+        bad.to_parquet(meta_path, index=False)
+        with pytest.raises(ValueError):
+            collect_features(spark, out, 1)
 
 
 def _pcr_and_tfrecord_twins(out_dir):
     """(PCR at full fidelity, baseline TFRecord twin) items of every record."""
     for path in record_paths(out_dir):
-        twin = path[: -len(".pcr")] + ".tfrec"
-        yield pcr.read_pcr(path, N_SCANS), tfrecord.read_tfrecord(twin)
+        yield pcr.read_pcr(path, N_SCANS), tfrecord.read_tfrecord(tfrecord_path(path))
 
 
 def test_tfrecord_and_pcr_labels_agree(celeba_dir):
