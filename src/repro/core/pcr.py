@@ -23,13 +23,16 @@ parquet sidecar written by ``repro.core.dataset``):
     bytes  scan group G deltas (image order)
 
 Everything before the JPEG headers is the fixed index, packed and
-unpacked by one struct (``_index_struct``).
+unpacked by one struct (``_index_struct``). A reader checks it before
+trusting it (``_read_index``): the magic, that the index fits in the
+file, and that each ``group_end`` is where the lengths put it.
 
 Reassembling image i at fidelity g = header_i + deltas 1..g + EOI,
 which our (truncation-tolerant) decoder renders — identical bytes to
 ``markers.truncate_to_scans`` on the original progressive file.
 """
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -109,18 +112,33 @@ def write_pcr(path: str, images: list[tuple[bytes, int]]) -> PcrInfo:
 
 
 def _read_index(f, path: str) -> PcrInfo:
+    """Read and check the fixed index; raise ValueError naming ``path``
+    when it cannot be a PCR index."""
     head = f.read(_HEAD.size)
-    assert head[: len(MAGIC)] == MAGIC, f"not a PCR file: {path}"
+    if len(head) < _HEAD.size or head[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"not a PCR file: {path}")
     _, n, g = _HEAD.unpack(head)
     index = _index_struct(n, g)
+    size = os.fstat(f.fileno()).st_size
+    if g < 1 or index.size > size:
+        raise ValueError(f"damaged PCR index in {path}: {n} images and {g} "
+                         f"scan groups need {index.size} index bytes, file has {size}")
     fields = iter(index.unpack(head + f.read(index.size - _HEAD.size))[3:])
 
     def take(k: int) -> list[int]:
         return list(itertools.islice(fields, k))
 
     group_end, labels, header_lens = take(g), take(n), take(n)
-    return PcrInfo(path, n, g, group_end, labels, header_lens,
-                   [take(n) for _ in range(g)])
+    scan_lens = [take(n) for _ in range(g)]
+    # Each group ends where its scan lengths take it, which also makes
+    # group_end non-decreasing.
+    end = index.size + sum(header_lens)
+    for j, lens in enumerate(scan_lens):
+        end += sum(lens)
+        if group_end[j] != end:
+            raise ValueError(f"damaged PCR index in {path}: scan group {j + 1} "
+                             f"ends at {group_end[j]}, its lengths end at {end}")
+    return PcrInfo(path, n, g, group_end, labels, header_lens, scan_lens)
 
 
 def read_index(path: str) -> PcrInfo:

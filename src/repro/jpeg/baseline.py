@@ -1,10 +1,12 @@
 """Baseline sequential JPEG encoder (SOF0, one interleaved scan).
 
-Entropy coding runs in two passes per scan: a symbol-gathering pass
-(producing ``(symbol, extra_value, extra_bits)`` ops) drives optimal
-Huffman table construction, then the ops are written out. This mirrors
-libjpeg's ``-optimize`` path and keeps one table-building code path for
-both baseline and progressive encoders.
+Entropy coding runs in two passes per scan, on whole arrays: the
+symbols and extra bits of every block are gathered with numpy (DC
+differences, the run/size symbols of the nonzero AC coefficients with
+ZRLs and end-of-band codes), their histograms give optimal Huffman
+tables, then each scan's code words are packed in one pass. This
+mirrors libjpeg's ``-optimize`` path and keeps one table-building code
+path for both baseline and progressive encoders.
 """
 import struct
 
@@ -12,63 +14,47 @@ import numpy as np
 
 from . import markers
 from .codec import CoeffImage, forward
-from .huffman import BitWriter, build_optimal_table, magnitude_bits
+from .huffman import build_optimal_table, magnitude_bits, pack_scan
 from .quant import ZIGZAG
 
-Ops = list[tuple[int, int, int]]  # (huffman symbol, extra value, extra bit count)
+
+def dc_symbols(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol, extra bits) of each block's DC difference (F.1.2.1)."""
+    extra, size = magnitude_bits(np.diff(coeffs[:, 0].astype(np.int64), prepend=0))
+    return size, extra
 
 
-def _dc_op(diff: int) -> tuple[int, int, int]:
-    bits, size = magnitude_bits(diff)
-    return size, bits, size
+def ac_symbols(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run/size symbols of the nonzero coefficients of ``band``
+    (n_blocks, width), in block order, each preceded by a ZRL (0xF0) for
+    every 16 zeros of its run (F.1.2.2).
 
-
-def sequential_scan_ops(ci: CoeffImage) -> tuple[list[Ops], list[Ops]]:
-    """Per-component DC op streams and AC op streams, MCU order.
-
-    Returns (dc_ops[comp], ac_ops[comp]) where ops are already in the
-    order blocks are visited (raster MCU order, 4:4:4 so one block per
-    component per MCU).
+    Returns ``(sym, extra, n_sym, eob)``: the symbols, their extra bits,
+    and per block the number of its symbols and whether an end of band
+    follows them (its last nonzero coefficient, if any, is not the
+    band's last).
     """
-    dc_ops: list[Ops] = [[] for _ in ci.components]
-    ac_ops: list[Ops] = [[] for _ in ci.components]
-    for c, comp in enumerate(ci.components):
-        pred = 0
-        for blk in comp.coeffs:
-            dc_ops[c].append(_dc_op(int(blk[0]) - pred))
-            pred = int(blk[0])
-            ops: Ops = []
-            run = 0
-            for k in range(1, 64):
-                v = int(blk[k])
-                if v == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    ops.append((0xF0, 0, 0))
-                    run -= 16
-                bits, size = magnitude_bits(v)
-                ops.append(((run << 4) | size, bits, size))
-                run = 0
-            if run > 0:
-                ops.append((0x00, 0, 0))  # EOB
-            ac_ops[c].append(ops)
-    return dc_ops, ac_ops
+    block, k = np.nonzero(band)
+    extra, size = magnitude_bits(band[block, k])
+    # change[i]: nonzero i - 1 and nonzero i (if both exist) are in different blocks
+    change = np.ones(len(k) + 1, bool)
+    np.not_equal(block[1:], block[:-1], out=change[1:-1])
+    first, last = change[:-1], change[1:]
+    run = k - np.where(first, 0, np.concatenate(([0], k[:-1] + 1)))
+    eob = np.ones(len(band), bool)
+    eob[block[last]] = k[last] < band.shape[1] - 1
+    sym = (run & 15) << 4 | size
+    zrl = run >> 4
+    if zrl.any():
+        at = np.cumsum(zrl + 1) - 1
+        sym_, extra_ = np.full(at[-1] + 1, 0xF0), np.zeros(at[-1] + 1, np.int64)
+        sym_[at], extra_[at] = sym, extra
+        sym, extra, block = sym_, extra_, np.repeat(block, zrl + 1)
+    return sym, extra, np.bincount(block, minlength=len(band)), eob
 
 
 def _dht_payload(table, tclass: int, tid: int) -> bytes:
     return bytes([tclass << 4 | tid]) + bytes(table.bits) + bytes(table.values)
-
-
-def _count(op_lists) -> np.ndarray:
-    f = np.zeros(256, dtype=np.int64)
-    for ops in op_lists:
-        if isinstance(ops, tuple):
-            f[ops[0]] += 1
-        else:
-            for sym, _, _ in ops:
-                f[sym] += 1
-    return f
 
 
 def _header(ci: CoeffImage, sof_marker: int) -> bytes:
@@ -87,18 +73,20 @@ def _header(ci: CoeffImage, sof_marker: int) -> bytes:
 def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
     """Serialize a coefficient image as baseline sequential JPEG."""
     nc = ci.n_components
-    dc_ops, ac_ops = sequential_scan_ops(ci)
+    n_blocks = ci.components[0].coeffs.shape[0]
     # Table ids: 0 = luma, 1 = chroma (components 2,3 share id 1).
     tids = [0 if c == 0 else 1 for c in range(nc)]
+    dc = [dc_symbols(comp.coeffs) for comp in ci.components]
+    ac = [ac_symbols(comp.coeffs[:, 1:]) for comp in ci.components]
     dc_tabs, ac_tabs = {}, {}
     for tid in sorted(set(tids)):
         comps = [c for c in range(nc) if tids[c] == tid]
         dc_tabs[tid] = build_optimal_table(
-            sum(_count(dc_ops[c]) for c in comps)
+            sum(np.bincount(dc[c][0], minlength=256) for c in comps)
         )
-        ac_tabs[tid] = build_optimal_table(
-            sum(_count([op for blk in ac_ops[c] for op in blk]) for c in comps)
-        )
+        freq = sum(np.bincount(ac[c][0], minlength=256) for c in comps)
+        freq[0] += sum(int(ac[c][3].sum()) for c in comps)  # EOB
+        ac_tabs[tid] = build_optimal_table(freq)
 
     out = _header(ci, markers.SOF0)
     for tid in sorted(dc_tabs):
@@ -112,17 +100,22 @@ def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
     sos += bytes([0, 63, 0])
     out += markers.seg(markers.SOS, sos)
 
-    w = BitWriter()
-    n_mcu = ci.components[0].coeffs.shape[0]
-    for m in range(n_mcu):
-        for c in range(nc):
-            sym, bits, size = dc_ops[c][m]
-            w.write_code(dc_tabs[tids[c]], sym)
-            w.write(bits, size)
-            for sym, bits, size in ac_ops[c][m]:
-                w.write_code(ac_tabs[tids[c]], sym)
-                w.write(bits, size)
-    out += w.getvalue()
+    # MCU order: block-major, then component; each block is its DC, its
+    # AC symbols, then its EOB. Place every symbol at its position.
+    n_ops = np.stack([1 + n_sym + eob for _, _, n_sym, eob in ac], axis=1)
+    start = (np.cumsum(n_ops) - n_ops.ravel()).reshape(n_blocks, nc)
+    words = np.empty(int(n_ops.sum()), np.int64)
+    nbits = np.empty_like(words)
+    for c in range(nc):
+        dc_tab, ac_tab = dc_tabs[tids[c]], ac_tabs[tids[c]]
+        sym, extra, n_sym, eob = ac[c]
+        at = start[:, c]
+        words[at], nbits[at] = dc_tab.words(*dc[c])
+        at = np.arange(len(sym)) + np.repeat(at + 1 - (np.cumsum(n_sym) - n_sym), n_sym)
+        words[at], nbits[at] = ac_tab.words(sym, extra)
+        at = (start[:, c] + n_ops[:, c] - 1)[eob]
+        words[at], nbits[at] = ac_tab.words(np.zeros_like(at), 0)
+    out += pack_scan(words, nbits)
     out += markers.seg(markers.EOI)
     return out
 

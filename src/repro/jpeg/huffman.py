@@ -1,4 +1,5 @@
-"""JPEG Huffman coding: canonical tables, optimal table generation, bit I/O.
+"""JPEG Huffman coding: canonical tables, optimal table generation,
+scan packing and unpacking.
 
 Tables are canonical per ITU-T T.81 Annex C: ``bits[1..16]`` counts of
 codes per length plus ``values`` in code order. ``build_optimal_table``
@@ -7,14 +8,19 @@ reserved symbol that guarantees no code is all ones, and the >16-bit
 length adjustment), which libjpeg forces on for progressive scans — we
 use it for every scan so baseline/progressive sizes are comparable.
 
-Bit I/O implements the entropy-coded segment rules: MSB-first bits,
-0xFF byte stuffing on write, 1-padding at flush, unstuffing on read.
+Encoding works on whole arrays of symbols: ``HuffmanTable.words`` turns
+symbols and their extra bits into code words (``code << n | extra``,
+at most 32 bits), and ``pack_scan`` concatenates a scan's words MSB
+first, pads the last byte with 1-bits and 0xFF-stuffs the result once,
+as libjpeg's ``jchuff.c`` ``emit_bits`` does a word at a time.
 
 Decoding uses ``Lookahead`` tables (the libjpeg ``jdhuff.c`` fast path,
 T.81 Annex F): one list lookup on the next ``LOOKAHEAD_BITS`` bits
 yields a whole symbol together with its extra bits, so the decoder's
-scan loops spend one lookup per coefficient.
+scan loops spend one lookup per coefficient. ``segment_words`` unstuffs
+a segment into 32-bit words for them.
 """
+import heapq
 import struct
 from dataclasses import dataclass, field
 
@@ -34,7 +40,7 @@ class HuffmanTable:
 
     bits: list[int]
     values: list[int]
-    _enc: dict[int, tuple[int, int]] = field(default=None, repr=False, compare=False)
+    _book: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False, compare=False)
     _look: "Lookahead" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,12 +60,18 @@ class HuffmanTable:
             code <<= 1
         return out
 
-    @property
-    def encoder(self) -> dict[int, tuple[int, int]]:
-        """symbol -> (code, length)."""
-        if self._enc is None:
-            self._enc = {s: (c, l) for s, c, l in self.codes()}
-        return self._enc
+    def words(self, sym: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Code words of symbols ``sym``, each followed by its extra bits
+        ``extra``: ``(code << n | extra, length + n)`` with ``n`` the
+        symbol's extra bit count (``EXTRA_BITS``)."""
+        if self._book is None:
+            sym_, code, length = zip(*self.codes())
+            self._book = np.zeros(256, np.int64), np.zeros(256, np.int64)
+            self._book[0][list(sym_)] = code
+            self._book[1][list(sym_)] = length
+        code, length = self._book
+        n = EXTRA_BITS[sym]
+        return code[sym] << n | extra, length[sym] + n
 
     @property
     def lookahead(self) -> "Lookahead":
@@ -77,26 +89,20 @@ def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
     symbol is assigned the all-ones code, then code lengths longer than
     16 are folded down per the Annex K.2 adjustment.
     """
-    freq = np.zeros(257, dtype=np.int64)
-    freq[:256] = np.asarray(freqs, dtype=np.int64)
-    freq[256] = 1  # reserved: ensures no real all-ones code
-    codesize = np.zeros(257, dtype=np.int64)
-    others = np.full(257, -1, dtype=np.int64)
-
-    while True:
-        # c1: least-frequency symbol (ties -> larger symbol, per libjpeg)
-        c1, v = -1, np.inf
-        for i in range(257):
-            if 0 < freq[i] <= v:
-                v, c1 = freq[i], i
-        c2, v = -1, np.inf
-        for i in range(257):
-            if 0 < freq[i] <= v and i != c1:
-                v, c2 = freq[i], i
-        if c2 < 0:
-            break
-        freq[c1] += freq[c2]
-        freq[c2] = 0
+    codesize = [0] * 257
+    others = [-1] * 257
+    # libjpeg merges the two least frequent trees, and its ``<=`` scan
+    # breaks a tie toward the larger symbol: the heap order of
+    # (freq, -symbol).
+    freqs = np.asarray(freqs)
+    used = np.flatnonzero(freqs).tolist()
+    heap = [(f, -i) for i, f in zip(used, freqs[used].tolist())] + [(1, -256)]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        f1, c1 = heapq.heappop(heap)
+        f2, c2 = heapq.heappop(heap)
+        heapq.heappush(heap, (f1 + f2, c1))
+        c1, c2 = -c1, -c2
         codesize[c1] += 1
         while others[c1] >= 0:
             c1 = others[c1]
@@ -107,10 +113,9 @@ def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
             c2 = others[c2]
             codesize[c2] += 1
 
-    bits = np.zeros(60, dtype=np.int64)  # generous headroom for long codes
-    for i in range(257):
-        if codesize[i]:
-            bits[codesize[i]] += 1
+    bits = [0] * (max(MAX_CODE_LEN, *codesize) + 1)
+    for i in [*used, 256]:
+        bits[codesize[i]] += 1
 
     # Fold code lengths > 16 down (libjpeg's adjustment).
     i = len(bits) - 1
@@ -132,57 +137,46 @@ def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
         bits[i] -= 1
 
     # Symbols sorted by (code length, symbol value); drop the reserved one.
-    order = sorted(
-        (i for i in range(256) if codesize[i] > 0),
-        key=lambda i: (codesize[i], i),
-    )
-    return HuffmanTable(bits=list(bits[1 : MAX_CODE_LEN + 1]), values=order)
+    order = sorted(used, key=lambda i: (codesize[i], i))
+    return HuffmanTable(bits=bits[1 : MAX_CODE_LEN + 1], values=order)
 
 
-class BitWriter:
-    """MSB-first bit writer with JPEG 0xFF byte stuffing."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            byte = (self._acc >> self._nbits) & 0xFF
-            self._buf.append(byte)
-            if byte == 0xFF:
-                self._buf.append(0x00)
-        self._acc &= (1 << self._nbits) - 1
-
-    def write_code(self, table: HuffmanTable, symbol: int) -> None:
-        code, length = table.encoder[symbol]
-        self.write(code, length)
-
-    def getvalue(self) -> bytes:
-        """Flush (pad last byte with 1s) and return the stuffed stream."""
-        if self._nbits:
-            pad = 8 - self._nbits
-            self.write((1 << pad) - 1, pad)
-        return bytes(self._buf)
+def magnitude_category(v) -> np.ndarray:
+    """JPEG magnitude category (number of extra bits) of each DC diff /
+    AC coefficient: the bit length of ``|v|``."""
+    return np.frexp(np.abs(np.asarray(v, dtype=np.int64)))[1].astype(np.int64)
 
 
-def magnitude_category(v: int) -> int:
-    """JPEG magnitude category (number of extra bits) for a DC diff / AC coef."""
-    return int(abs(v)).bit_length()
-
-
-def magnitude_bits(v: int) -> tuple[int, int]:
-    """(extra_bits_value, category) encoding of a signed value."""
+def magnitude_bits(v) -> tuple[np.ndarray, np.ndarray]:
+    """(extra bits value, category) encoding of signed values: a negative
+    ``v`` of category ``s`` is sent as ``v + 2**s - 1`` (T.81 F.1.2.1)."""
+    v = np.asarray(v, dtype=np.int64)
     s = magnitude_category(v)
-    if v >= 0:
-        return v, s
-    return v + (1 << s) - 1, s
+    return np.where(v < 0, v + (1 << s) - 1, v), s
+
+
+def pack_scan(words: np.ndarray, nbits: np.ndarray) -> bytes:
+    """One entropy-coded segment: the low ``nbits[i]`` (at most 32) bits
+    of each ``words[i]`` MSB first, the last byte padded with 1-bits,
+    then 0xFF byte-stuffed."""
+    end = np.cumsum(nbits)
+    pad = -int(end[-1]) % 8
+    if pad:
+        words = np.append(words, (1 << pad) - 1)
+        nbits = np.append(nbits, pad)
+        end = np.append(end, end[-1] + pad)
+    # Each word goes to the 64-bit slot holding its last bit, shifted
+    # left past the bits after it in that slot. Bits before the slot's
+    # start spill into the low end of the previous slot.
+    slot = (end - 1) >> 6
+    shift = ((slot + 1) << 6) - end
+    w = words.astype(np.uint64)
+    # A word is at most 32 bits, so every slot holds the end of one.
+    first = np.searchsorted(slot, np.arange(slot[-1] + 1))
+    out = np.bitwise_or.reduceat(w << shift.astype(np.uint64), first)
+    spill = nbits + shift > 64
+    out[slot[spill] - 1] |= w[spill] >> (64 - shift[spill]).astype(np.uint64)
+    return out.astype(">u8").tobytes()[: int(end[-1]) // 8].replace(b"\xff", b"\xff\x00")
 
 
 def extend(bits_value: int, size: int) -> int:
@@ -206,6 +200,9 @@ def _extra_bits(symbol: int) -> int:
     """
     run, size = symbol >> 4, symbol & 0xF
     return size or (run if run != 15 else 0)
+
+
+EXTRA_BITS = np.array([_extra_bits(s) for s in range(256)], dtype=np.int64)
 
 
 def _entry(length: int, symbol: int, extra: int) -> tuple[int, int, int]:

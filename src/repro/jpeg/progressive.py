@@ -18,9 +18,11 @@ header span.
 import numpy as np
 
 from . import markers
-from .baseline import Ops, _count, _dc_op, _dht_payload, _header
+from .baseline import _dht_payload, _header, ac_symbols, dc_symbols
 from .codec import CoeffImage, forward
-from .huffman import BitWriter, build_optimal_table, magnitude_bits
+from .huffman import build_optimal_table, magnitude_category, pack_scan
+
+EOBRUN_MAX = 0x7FFF  # longest end-of-band run one EOBn symbol can send
 
 # (component index or None for interleaved-DC, Ss, Se)
 SCRIPT_COLOR: list[tuple[int | None, int, int]] = [
@@ -79,51 +81,28 @@ def _ac_table_classes(script) -> dict[int, int]:
     return classes
 
 
-def _ac_band_ops(coeffs: np.ndarray, ss: int, se: int) -> Ops:
-    """Progressive first-pass AC coding (Ah=Al=0) of one component's band.
+def _ac_band_symbols(coeffs: np.ndarray, ss: int, se: int) -> tuple[np.ndarray, np.ndarray]:
+    """Progressive first-pass AC coding (Ah=Al=0) of one component's band:
+    (symbol, extra bits) in scan order.
 
     Standard G.1.2.2: run/size symbols with EOBn end-of-band run codes.
+    The ends of band counted from one block with nonzero coefficients up
+    to the next are sent just before that next block (or at the end of
+    the scan), as EOBn runs of at most ``EOBRUN_MAX`` blocks.
     """
-    ops: Ops = []
-    eobrun = 0
-
-    def flush_eob():
-        nonlocal eobrun
-        if eobrun == 0:
-            return
-        n = eobrun.bit_length() - 1
-        ops.append((n << 4, eobrun - (1 << n), n))
-        eobrun = 0
-
-    band = coeffs[:, ss : se + 1]
-    nonzero_any = np.any(band != 0, axis=1)
-    for b in range(band.shape[0]):
-        if not nonzero_any[b]:
-            eobrun += 1
-            if eobrun == 0x7FFF:
-                flush_eob()
-            continue
-        row = band[b]
-        run = 0
-        last_nz = np.nonzero(row)[0][-1]
-        flush_eob()
-        for k in range(last_nz + 1):
-            v = int(row[k])
-            if v == 0:
-                run += 1
-                continue
-            while run > 15:
-                ops.append((0xF0, 0, 0))
-                run -= 16
-            bits, size = magnitude_bits(v)
-            ops.append(((run << 4) | size, bits, size))
-            run = 0
-        if last_nz < band.shape[1] - 1:
-            eobrun += 1
-            if eobrun == 0x7FFF:
-                flush_eob()
-    flush_eob()
-    return ops
+    sym, extra, n_sym, eob = ac_symbols(coeffs[:, ss : se + 1])
+    nonzero = np.flatnonzero(n_sym)  # the blocks with symbols
+    at = (np.cumsum(n_sym) - n_sym)[nonzero]  # their first symbols
+    # Ends of band before the first such block, then from each to the next.
+    cum = np.concatenate(([0], np.cumsum(eob)))
+    pending = np.diff(cum[np.concatenate(([0], nonzero, [len(eob)]))])
+    full, rest = np.divmod(pending, EOBRUN_MAX)
+    n_runs = full + (rest > 0)
+    runs = np.full(int(n_runs.sum()), EOBRUN_MAX)
+    runs[(np.cumsum(n_runs) - 1)[rest > 0]] = rest[rest > 0]
+    n = magnitude_category(runs) - 1  # EOBn: a run of 2**n plus n extra bits
+    at = np.repeat(np.append(at, len(sym)), n_runs)
+    return np.insert(sym, at, n << 4), np.insert(extra, at, runs - (1 << n))
 
 
 def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
@@ -132,17 +111,13 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     script = script_for(nc)
     tids = [0 if c == 0 else 1 for c in range(nc)]
 
-    # Pass 1: gather ops for every scan.
-    dc_ops = [[] for _ in range(nc)]
-    for c, comp in enumerate(ci.components):
-        pred = 0
-        for blk in comp.coeffs:
-            dc_ops[c].append(_dc_op(int(blk[0]) - pred))
-            pred = int(blk[0])
-    ac_scan_ops: dict[int, Ops] = {}
-    for si, (comp_idx, ss, se) in enumerate(script):
-        if comp_idx is not None:
-            ac_scan_ops[si] = _ac_band_ops(ci.components[comp_idx].coeffs, ss, se)
+    # Pass 1: gather symbols for every scan.
+    dc = [dc_symbols(comp.coeffs) for comp in ci.components]
+    ac_scans = {
+        si: _ac_band_symbols(ci.components[comp_idx].coeffs, ss, se)
+        for si, (comp_idx, ss, se) in enumerate(script)
+        if comp_idx is not None
+    }
 
     # Build tables: one DC table per luma/chroma class; AC scans share
     # JPEG's four AC table slots, clustered by scan statistics (early
@@ -150,15 +125,16 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     dc_tabs = {}
     for tid in sorted(set(tids)):
         comps = [c for c in range(nc) if tids[c] == tid]
-        dc_tabs[tid] = build_optimal_table(sum(_count(dc_ops[c]) for c in comps))
+        dc_tabs[tid] = build_optimal_table(
+            sum(np.bincount(dc[c][0], minlength=256) for c in comps)
+        )
     ac_class = _ac_table_classes(script)
-    ac_tabs: dict[int, object] = {}
+    ac_tabs = {}
     for cls in sorted(set(ac_class.values())):
-        freq = np.zeros(256, dtype=np.int64)
-        for si, c in ac_class.items():
-            if c == cls:
-                freq += _count(ac_scan_ops[si])
-        ac_tabs[cls] = build_optimal_table(freq)
+        ac_tabs[cls] = build_optimal_table(sum(
+            np.bincount(ac_scans[si][0], minlength=256)
+            for si, c in ac_class.items() if c == cls
+        ))
 
     # Header: SOI/APP0/DQT/SOF2 + all DHTs (always-read span in a PCR).
     out = _header(ci, markers.SOF2)
@@ -167,28 +143,23 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     out += markers.seg(markers.DHT, dht)
 
     for si, (comp_idx, ss, se) in enumerate(script):
-        w = BitWriter()
         if comp_idx is None:
             sos = bytes([nc])
             for c, comp in enumerate(ci.components):
                 sos += bytes([comp.comp_id, tids[c] << 4])
             sos += bytes([0, 0, 0])
-            out += markers.seg(markers.SOS, sos)
-            n_mcu = ci.components[0].coeffs.shape[0]
-            for m in range(n_mcu):
-                for c in range(nc):
-                    sym, bits, size = dc_ops[c][m]
-                    w.write_code(dc_tabs[tids[c]], sym)
-                    w.write(bits, size)
+            # Interleaved: block-major, then component.
+            words = np.empty((len(dc[0][0]), nc), np.int64)
+            nbits = np.empty_like(words)
+            for c in range(nc):
+                words[:, c], nbits[:, c] = dc_tabs[tids[c]].words(*dc[c])
+            words, nbits = words.ravel(), nbits.ravel()
         else:
             comp = ci.components[comp_idx]
-            tab = ac_tabs[ac_class[si]]
             sos = bytes([1, comp.comp_id, ac_class[si]]) + bytes([ss, se, 0])
-            out += markers.seg(markers.SOS, sos)
-            for sym, bits, size in ac_scan_ops[si]:
-                w.write_code(tab, sym)
-                w.write(bits, size)
-        out += w.getvalue()
+            words, nbits = ac_tabs[ac_class[si]].words(*ac_scans[si])
+        out += markers.seg(markers.SOS, sos)
+        out += pack_scan(words, nbits)
     out += markers.seg(markers.EOI)
     return out
 

@@ -1,4 +1,5 @@
-"""Unit tests for Huffman coding and bit I/O (incl. hypothesis roundtrips)."""
+"""Unit tests for Huffman coding, scan packing and unpacking (incl.
+hypothesis roundtrips)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from repro.jpeg.decoder import _dc_scan
 from repro.jpeg.huffman import (
     LOOKAHEAD_BITS,
-    BitWriter,
+    MAX_CODE_LEN,
     HuffmanTable,
     build_optimal_table,
     extend,
     magnitude_bits,
     magnitude_category,
+    pack_scan,
     segment_words,
 )
 
@@ -28,6 +30,75 @@ def _deep_freqs():
     for i in range(40):
         freqs[i] = 2**i if i < 30 else 2**30
     return freqs
+
+
+def _reference_optimal_table(freqs):
+    """libjpeg's jpeg_gen_optimal_table as two 257-wide scans per merge:
+    the oracle for ``build_optimal_table``."""
+    freq = np.zeros(257, dtype=np.int64)
+    freq[:256] = np.asarray(freqs, dtype=np.int64)
+    freq[256] = 1  # reserved: ensures no real all-ones code
+    codesize = np.zeros(257, dtype=np.int64)
+    others = np.full(257, -1, dtype=np.int64)
+
+    while True:
+        # c1: least-frequency symbol (ties -> larger symbol, per libjpeg)
+        c1, v = -1, np.inf
+        for i in range(257):
+            if 0 < freq[i] <= v:
+                v, c1 = freq[i], i
+        c2, v = -1, np.inf
+        for i in range(257):
+            if 0 < freq[i] <= v and i != c1:
+                v, c2 = freq[i], i
+        if c2 < 0:
+            break
+        freq[c1] += freq[c2]
+        freq[c2] = 0
+        codesize[c1] += 1
+        while others[c1] >= 0:
+            c1 = others[c1]
+            codesize[c1] += 1
+        others[c1] = c2
+        codesize[c2] += 1
+        while others[c2] >= 0:
+            c2 = others[c2]
+            codesize[c2] += 1
+
+    bits = np.zeros(60, dtype=np.int64)  # generous headroom for long codes
+    for i in range(257):
+        if codesize[i]:
+            bits[codesize[i]] += 1
+
+    # Fold code lengths > 16 down (libjpeg's adjustment).
+    i = len(bits) - 1
+    while i > MAX_CODE_LEN:
+        while bits[i] > 0:
+            j = i - 2
+            while bits[j] == 0:
+                j -= 1
+            bits[i] -= 2
+            bits[i - 1] += 1
+            bits[j + 1] += 2
+            bits[j] -= 1
+        i -= 1
+    # Remove the reserved symbol's code from the longest used length.
+    i = MAX_CODE_LEN
+    while i > 0 and bits[i] == 0:
+        i -= 1
+    if i > 0:
+        bits[i] -= 1
+
+    # Symbols sorted by (code length, symbol value); drop the reserved one.
+    order = sorted(
+        (i for i in range(256) if codesize[i] > 0),
+        key=lambda i: (codesize[i], i),
+    )
+    return HuffmanTable(bits=list(bits[1 : MAX_CODE_LEN + 1]), values=order)
+
+
+def _code_of(table):
+    return {s: (c, l) for s, c, l in table.codes()}
 
 
 def _n_extra(sym):
@@ -91,14 +162,10 @@ def test_optimal_table_roundtrips_symbols(seed):
     if seed == "deep":
         assert max(l for _, _, l in t.codes()) > LOOKAHEAD_BITS
     lengths = {s: l for s, _, l in t.codes()}
-    w = BitWriter()
     msg = [(int(s), int(rng.integers(0, 1 << _n_extra(int(s)))))
            for s in rng.choice(alphabet, size=500)]
-    for s, x in msg:
-        w.write_code(t, s)
-        w.write(x, _n_extra(s))
     # Decode with one lookup per symbol, as the scan loops do.
-    words, n_bits = segment_words(w.getvalue())
+    words, n_bits = segment_words(pack_scan(*t.words(*np.array(msg).T)))
     bits, total, pos = _bits_of(words), 32 * len(words), 0
     look = t.lookahead
     for s, x in msg:
@@ -117,7 +184,7 @@ def test_optimal_table_skewed_freqs_gives_short_code_to_common_symbol():
     freqs[8] = 10
     freqs[9] = 10
     t = build_optimal_table(freqs)
-    enc = t.encoder
+    enc = _code_of(t)
     assert enc[7][1] <= enc[8][1]
     assert enc[7][1] <= enc[9][1]
 
@@ -127,7 +194,7 @@ def test_optimal_table_single_symbol():
     freqs[42] = 5
     t = build_optimal_table(freqs)
     assert t.values == [42]
-    code, length = t.encoder[42]
+    code, length = _code_of(t)[42]
     assert 1 <= length <= 16
 
 
@@ -149,10 +216,8 @@ def test_max_code_length_16():
     assert sum(2.0 ** -l for _, _, l in t.codes()) <= 1.0
 
 
-def test_bitwriter_stuffs_ff():
-    w = BitWriter()
-    w.write(0xFF, 8)
-    out = w.getvalue()
+def test_pack_scan_stuffs_ff():
+    out = pack_scan(np.array([0xFF]), np.array([8]))
     assert out == b"\xff\x00"
 
 
@@ -169,15 +234,11 @@ def test_scan_eof_keeps_only_complete_symbols():
     # and extra bits all lie in the cut, then raises EOFError.
     rng = np.random.default_rng(0)
     diffs = rng.integers(-300, 300, size=40).tolist()
-    ops = [magnitude_bits(d) for d in diffs]
-    t = build_optimal_table(np.bincount([s for _, s in ops], minlength=256))
-    w = BitWriter()
-    ends = []
-    for b, s in ops:
-        w.write_code(t, s)
-        w.write(b, s)
-        ends.append(t.encoder[s][1] + s + (ends[-1] if ends else 0))
-    data = w.getvalue()
+    extra, size = magnitude_bits(diffs)
+    t = build_optimal_table(np.bincount(size, minlength=256))
+    words, nbits = t.words(size, extra)
+    ends = np.cumsum(nbits).tolist()
+    data = pack_scan(words, nbits)
     assert b"\xff" not in data  # so byte count = bit count / 8
     for n in range(len(data) + 1):
         out = np.zeros(64 * len(diffs), dtype=np.int32)
@@ -191,26 +252,27 @@ def test_scan_eof_keeps_only_complete_symbols():
                                       + [0] * (len(diffs) - complete))
 
 
-@given(st.lists(st.tuples(st.integers(0, 63), st.integers(1, 6)), min_size=1, max_size=200))
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 32)),
+                min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_bit_roundtrip_hypothesis(items):
-    # BitWriter (stuffing) -> segment_words (unstuffing) gives back the bits.
-    w = BitWriter()
+    # pack_scan (stuffing) -> segment_words (unstuffing) gives back the bits.
+    items = [(v & ((1 << k) - 1), k) for v, k in items]
     bits, n = 0, 0
     for v, k in items:
-        w.write(v & ((1 << k) - 1), k)
-        bits, n = bits << k | (v & ((1 << k) - 1)), n + k
-    words, n_bits = segment_words(w.getvalue())
+        bits, n = bits << k | v, n + k
+    words, n_bits = segment_words(pack_scan(*np.array(items, dtype=np.int64).T))
     assert n_bits == -(-n // 8) * 8
     assert _bits_of(words) >> (32 * len(words) - n) == bits
 
 
-@given(st.integers(-2047, 2047))
+@given(st.lists(st.integers(-2047, 2047), min_size=1, max_size=50))
 @settings(max_examples=200, deadline=None)
 def test_magnitude_roundtrip(v):
     bits, size = magnitude_bits(v)
-    assert extend(bits, size) == v
-    assert size == magnitude_category(v)
+    assert [extend(b, s) for b, s in zip(bits.tolist(), size.tolist())] == v
+    assert size.tolist() == [abs(x).bit_length() for x in v]
+    assert np.array_equal(size, magnitude_category(v))
 
 
 def test_magnitude_categories():
@@ -218,3 +280,36 @@ def test_magnitude_categories():
     assert magnitude_category(1) == magnitude_category(-1) == 1
     assert magnitude_category(255) == 8
     assert magnitude_category(-1024) == 11
+
+
+def _table_inputs():
+    """Frequency vectors for the table builder: sparse and dense random
+    counts drawn from a few values (many ties), single symbols, and
+    exponential (``_deep_freqs``-style) counts that need the >16-bit fold."""
+    return st.one_of(
+        st.lists(st.tuples(st.integers(0, 255), st.integers(1, 5)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 255), st.integers(1, 10**6)), min_size=1, max_size=256),
+        st.tuples(st.integers(0, 255), st.integers(1, 10**9)).map(lambda x: [x]),
+        st.tuples(st.integers(17, 60), st.integers(0, 215), st.booleans()).map(
+            lambda x: [(x[1] + i, 2 ** min(i, 30) if x[2] else 3 ** min(i, 19))
+                       for i in range(min(x[0], 256 - x[1]))]
+        ),
+    )
+
+
+@given(_table_inputs())
+@settings(max_examples=300, deadline=None)
+def test_optimal_table_matches_reference(pairs):
+    freqs = np.zeros(256, dtype=np.int64)
+    for s, f in pairs:
+        freqs[s] = f
+    got, want = build_optimal_table(freqs), _reference_optimal_table(freqs)
+    assert got.bits == [int(b) for b in want.bits]
+    assert got.values == want.values
+
+
+def test_optimal_table_matches_reference_on_deep_freqs():
+    t = build_optimal_table(_deep_freqs())
+    assert max(l for _, _, l in t.codes()) == MAX_CODE_LEN  # the fold ran
+    ref = _reference_optimal_table(_deep_freqs())
+    assert (t.bits, t.values) == ([int(b) for b in ref.bits], ref.values)

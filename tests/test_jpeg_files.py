@@ -18,8 +18,12 @@ from repro.jpeg import (
     truncate_to_scans,
 )
 from repro.jpeg import markers
-from repro.jpeg.codec import forward
-from repro.jpeg.progressive import script_for
+from repro.jpeg.baseline import encode_baseline_from_coeffs
+from repro.jpeg.codec import CoeffImage, Component, forward
+from repro.jpeg.decoder import _parse_dht
+from repro.jpeg.huffman import segment_words
+from repro.jpeg.progressive import encode_progressive_from_coeffs, script_for
+from repro.jpeg.quant import tables_for_quality
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS, generate_image
 
@@ -241,3 +245,83 @@ def test_golden_coefficient_digest():
         for c in _coeffs(data):
             h.update(c.astype("<i4").tobytes())
     assert h.hexdigest() == "52badcce7af9fb32c4a3c4f1a1dfbca584b3a7817259247eb7d76721342c2ad6"
+
+
+def _coeff_image(h, w, n_comp, seed):
+    """A seeded integer ``CoeffImage`` that exercises the entropy coder:
+    Laplacian AC coefficients decaying with zigzag index, random DCs
+    (diffs up to category 11), AC category 10, all-zero bands, and zero
+    runs longer than 16 (ZRL), ending both before and at index 63."""
+    rng = np.random.default_rng(seed)
+    nby, nbx = -(-h // 8), -(-w // 8)
+    n = nby * nbx
+    comps = []
+    for c in range(n_comp):
+        co = np.round(rng.laplace(0.0, 30.0 * np.exp(-np.arange(64) / 5.0), (n, 64)))
+        co[:, 0] = rng.integers(-1024, 1024, n)
+        co[::3, 1] = rng.choice([-1, 1], len(co[::3])) * rng.integers(512, 1024, len(co[::3]))
+        co[1::4, 2:] = 0
+        co[1::4, 50] = 3
+        co[2::9, 1:] = 0
+        co[2::9, 63] = -1
+        co[3::6, 1:] = 0
+        co[:, 1:] = np.clip(co[:, 1:], -1023, 1023)
+        comps.append(Component(c + 1, min(c, 1), co.astype(np.int32), nby, nbx))
+    return CoeffImage(h, w, comps, list(tables_for_quality(75)[: min(n_comp, 2)]))
+
+
+def _eobrun_image(nonzero_block=None):
+    """182x182 blocks of grayscale (33 124 > 0x7FFF) with every AC band
+    zero, except coefficient 1 of ``nonzero_block`` when given."""
+    nby = nbx = 182
+    co = np.zeros((nby * nbx, 64), dtype=np.int32)
+    co[:, 0] = np.arange(nby * nbx) % 23 - 11
+    if nonzero_block is not None:
+        co[nonzero_block, 1] = 5
+    return CoeffImage(8 * nby, 8 * nbx, [Component(1, 0, co, nby, nbx)],
+                      [tables_for_quality(75)[0]])
+
+
+def _entropy_coder_inputs():
+    return [
+        _coeff_image(37, 53, 3, 0),
+        _coeff_image(83, 101, 3, 1),
+        _coeff_image(29, 61, 1, 2),
+        _coeff_image(91, 45, 1, 3),
+        _eobrun_image(),
+        _eobrun_image(32_900),
+    ]
+
+
+def test_golden_entropy_coder_digest():
+    # Pins the entropy coder's bytes independently of forward(), so BLAS
+    # cannot move it: baseline and progressive files of seeded integer
+    # coefficient images (colour/grayscale, odd sizes, DC category 11,
+    # AC category 10, ZRLs, EOB runs past 0x7FFF).
+    h = hashlib.sha256()
+    for ci in _entropy_coder_inputs():
+        h.update(encode_baseline_from_coeffs(ci))
+        h.update(encode_progressive_from_coeffs(ci))
+    assert h.hexdigest() == "3a6821f19edd9e21890a7e2e6998461ea3ea0ac564654723e292e526d48d7cad"
+
+
+@pytest.mark.parametrize("nonzero_block", [None, 32_900])
+def test_eobrun_cap(nonzero_block):
+    # More all-zero blocks than one EOBn can count: the first AC scan
+    # opens with a 0x7FFF EOB14 run, and the coefficients round-trip.
+    ci = _eobrun_image(nonzero_block)
+    p = encode_progressive_from_coeffs(ci)
+    got = decode_to_coeffs(p).components[0].coeffs
+    assert np.array_equal(got, ci.components[0].coeffs)
+    tables = {}
+    sos = []
+    for s in markers.parse(p):
+        if s.marker == markers.DHT:
+            _parse_dht(s.payload, tables)
+        elif s.marker == markers.SOS:
+            sos.append(s)
+    first_ac = sos[1]
+    ac_table = tables[(1, first_ac.payload[2] & 0xF)]
+    words, _ = segment_words(first_ac.entropy)
+    _, run, value = ac_table.lookahead.slow(words[0])
+    assert (run, value) == (-0x7FFF, 0)

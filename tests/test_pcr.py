@@ -1,9 +1,12 @@
 """Unit tests for the PCR record format (paper Fig 4 layout)."""
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import pcr
 from repro.jpeg import (
@@ -118,8 +121,72 @@ def test_scan_group_contiguity(record):
 def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.pcr"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a PCR file"):
         pcr.read_index(str(p))
+
+
+@pytest.fixture(scope="module")
+def golden_file(record, tmp_path_factory):
+    """The 4-image file of test_golden_bytes: its bytes and index."""
+    _, _, progs, labels = record
+    path = str(tmp_path_factory.mktemp("pcr") / "golden.pcr")
+    info = pcr.write_pcr(path, list(zip(progs[:4], labels[:4])))
+    with open(path, "rb") as f:
+        return f.read(), info
+
+
+def _damaged(tmp_path, data: bytes) -> str:
+    path = str(tmp_path / "damaged.pcr")
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_flipped_index_byte_is_rejected(golden_file, tmp_path, data):
+    # Changing any index byte outside the labels raises ValueError from
+    # both readers; a changed label reads back as that label.
+    raw, info = golden_file
+    pos = data.draw(st.integers(0, info.index_bytes - 1))
+    xor = data.draw(st.integers(1, 255))
+    path = _damaged(tmp_path, raw[:pos] + bytes([raw[pos] ^ xor]) + raw[pos + 1 :])
+    labels = 9 + 8 * info.n_scan_groups
+    if labels <= pos < labels + 4 * info.n_images:
+        assert pcr.read_index(path).group_end == info.group_end
+        assert pcr.read_index(path).labels != info.labels
+        return
+    with pytest.raises(ValueError, match="damaged.pcr"):
+        pcr.read_index(path)
+    with pytest.raises(ValueError, match="damaged.pcr"):
+        pcr.read_pcr(path, data.draw(st.integers(1, N_SCANS)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_images", 10**7, "need 4800"),
+    ("n_scan_groups", 200, "ends at"),
+    ("n_scan_groups", 0, "0 scan groups"),
+], ids=["n_images=10**7", "n_scan_groups=200", "n_scan_groups=0"])
+def test_damaged_header_counts_rejected(golden_file, tmp_path, field, value, message):
+    # A header count that the file cannot hold is refused before any
+    # large read; one that fits is caught by the group_end check.
+    raw, _ = golden_file
+    n, g = struct.unpack_from("<IB", raw, 4)
+    n, g = (value, g) if field == "n_images" else (n, value)
+    path = _damaged(tmp_path, raw[:4] + struct.pack("<IB", n, g) + raw[9:])
+    with pytest.raises(ValueError, match=message):
+        pcr.read_pcr(path, N_SCANS)
+
+
+def test_non_monotone_group_end_rejected(golden_file, tmp_path):
+    raw, info = golden_file
+    ends = list(info.group_end)
+    ends[3], ends[4] = ends[4], ends[3]
+    path = _damaged(tmp_path, raw[:9] + struct.pack(f"<{len(ends)}Q", *ends)
+                    + raw[9 + 8 * len(ends) :])
+    with pytest.raises(ValueError, match="scan group 4 ends at"):
+        pcr.read_index(path)
 
 
 def test_out_of_range_scan_group_clamped(record):
