@@ -2,12 +2,14 @@
 
 Encoding (paper §5 "Encoding"): a Spark job partitions the image id
 space into records (one partition per record), and each executor task
-generates its partition's images, encodes them as baseline JPEG,
-losslessly transcodes to progressive, and writes one ``.pcr`` file (and
-a ``.tfrec`` baseline-format twin for comparisons). Per-image metadata
-— labels, task-label remappings, per-scan byte sizes, timings — comes
-back as a DataFrame and is persisted to a parquet sidecar, playing the
-paper's SQLite/RocksDB metadata role.
+generates its partition's images, quantizes each once with ``forward``
+and entropy-codes those coefficients twice: as progressive JPEG into
+one ``.pcr`` file and as baseline JPEG into a ``.tfrec`` twin for
+comparisons. The progressive bytes are exactly what the paper's lossless
+baseline -> progressive transcode of the twin gives (Fig 22 re-checks
+this). Per-image metadata — labels, task-label remappings, per-scan
+byte sizes — comes back as a DataFrame and is persisted to a parquet
+sidecar, playing the paper's SQLite/RocksDB metadata role.
 
 Decoding (paper §5 "Decoding"/"Loader"): ``load_features`` is one map
 stage with one partition per record; each task does its record's single
@@ -17,7 +19,6 @@ and split on the driver — the variable-fidelity read path this
 reproduction is about.
 """
 import os
-import time
 from typing import Iterator
 
 import numpy as np
@@ -29,12 +30,10 @@ from pyspark.sql import functions as F
 from repro import synth_images
 from repro.core import pcr
 from repro.formats import tfrecord
-from repro.jpeg import (
-    N_SCANS,
-    baseline_to_progressive,
-    decode,
-    encode_baseline,
-)
+from repro.jpeg import N_SCANS, decode
+from repro.jpeg.baseline import encode_baseline_from_coeffs
+from repro.jpeg.codec import forward
+from repro.jpeg.progressive import encode_progressive_from_coeffs
 from repro.train.features import extract_features
 
 _META_SCHEMA = (
@@ -42,7 +41,6 @@ _META_SCHEMA = (
     "is_test boolean, baseline_bytes int, progressive_bytes int, "
     "header_bytes int, "
     + ", ".join(f"scan_{g}_bytes int" for g in range(1, N_SCANS + 1))
-    + ", encode_s double, transcode_s double, write_s double"
 )
 
 _FEAT_SCHEMA = (
@@ -82,16 +80,13 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
         if not idxs:
             return
         pid = TaskContext.get().partitionId()
-        t0 = time.perf_counter()
-        images, labels = [], []
+        labels, baselines, progressives = [], [], []
         for i in idxs:
             img, lab = synth_images.generate_image(spec, i)
-            images.append(img)
+            ci = forward(img, spec.quality)
             labels.append(lab)
-        baselines = [encode_baseline(img, spec.quality) for img in images]
-        t1 = time.perf_counter()
-        progressives = [baseline_to_progressive(b) for b in baselines]
-        t2 = time.perf_counter()
+            baselines.append(encode_baseline_from_coeffs(ci))
+            progressives.append(encode_progressive_from_coeffs(ci))
         rec_path = os.path.join(out_dir, f"record_{pid:04d}.pcr")
         info = pcr.write_pcr(
             rec_path, list(zip(progressives, (l["label"] for l in labels)))
@@ -100,7 +95,6 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
             tfrecord_path(rec_path),
             list(zip(baselines, (l["label"] for l in labels))),
         )
-        t3 = time.perf_counter()
         rows = []
         for pos, (i, lab) in enumerate(zip(idxs, labels)):
             row = {
@@ -117,9 +111,6 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
             }
             for g in range(1, N_SCANS + 1):
                 row[f"scan_{g}_bytes"] = info.scan_lens[g - 1][pos]
-            row["encode_s"] = t1 - t0
-            row["transcode_s"] = t2 - t1
-            row["write_s"] = t3 - t2
             rows.append(row)
         yield pd.DataFrame(rows)
 

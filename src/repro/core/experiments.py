@@ -4,13 +4,16 @@ Each function returns a tidy pandas DataFrame with one row per table
 cell-group, ready for ``harness.fmt_table``. Training-side experiments
 live in ``repro.train.experiments``.
 """
+import filecmp
 import os
+import tempfile
 import time
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import harness, pcr
 from repro.core.analysis import (
@@ -24,7 +27,7 @@ from repro.core.dataset import (dataset_summary, read_metadata, record_paths,
 from repro.formats import tfrecord
 from repro.iosim.pipeline import simulate_training, system_throughput
 from repro.iosim.storage import MiB, StorageModel
-from repro.jpeg import N_SCANS, decode
+from repro.jpeg import N_SCANS, baseline_to_progressive, decode, encode_baseline
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS
 
@@ -161,33 +164,19 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
                          qualities=(50, 75, 90, 95)) -> pd.DataFrame:
     """Fig 22/§A.4: PCR conversion time vs re-encoding at static qualities.
 
-    PCR columns come from the timings recorded at dataset build. Static
-    re-encode times are measured here in Spark (decode + re-encode at
-    quality q per image), the multi-fidelity alternative the paper
-    compares against. Sizes show the space amplification story.
+    One Spark task per record reads the record's baseline TFRecord twin
+    and times, on those images, the paper's PCR conversion (the lossless
+    baseline -> progressive transcode of every image, then writing the
+    PCR file) and the decode + re-encode at each static quality q, the
+    multi-fidelity alternative the paper compares against. Both run in
+    the same task, so under the same load. The converted file must equal
+    the stored ``.pcr`` byte for byte, else the task raises. Sizes show
+    the space amplification story.
     """
-    from pyspark.sql import functions as F
-
-    from repro.jpeg import encode_baseline
-
     rows = []
     for name in ALL_DATASETS:
         out = harness.get_or_build(spark, name, sf)
         meta = read_metadata(spark, out)
-        t = (
-            meta.groupBy("record")
-            .agg(
-                F.first("encode_s").alias("encode_s"),
-                F.first("transcode_s").alias("transcode_s"),
-                F.first("write_s").alias("write_s"),
-            )
-            .agg(
-                F.sum("encode_s").alias("jpeg_s"),
-                F.sum("transcode_s").alias("convert_s"),
-                F.sum("write_s").alias("write_s"),
-            )
-            .collect()[0]
-        )
         paths = record_paths(out)
         pcr_bytes = sum(os.path.getsize(p) for p in paths)
         base_bytes = meta.agg(F.sum("baseline_bytes")).collect()[0][0]
@@ -198,7 +187,20 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
             for b in batches:
                 for i in b["id"]:
                     items = tfrecord.read_tfrecord(tfrecord_path(paths[i]))
-                    outrows = []
+                    # q is null on the PCR conversion's row.
+                    with tempfile.TemporaryDirectory() as tmp:
+                        converted = os.path.join(tmp, "converted.pcr")
+                        t0 = time.perf_counter()
+                        pcr.write_pcr(converted, [
+                            (baseline_to_progressive(jpeg), label)
+                            for label, jpeg in items
+                        ])
+                        outrows = [{"q": None, "seconds": time.perf_counter() - t0,
+                                    "bytes": os.path.getsize(converted)}]
+                        if not filecmp.cmp(converted, paths[i], shallow=False):
+                            raise ValueError(
+                                f"{paths[i]} differs from the PCR conversion "
+                                "of its baseline TFRecord twin")
                     for q in qualities:
                         t0 = time.perf_counter()
                         nbytes = 0
@@ -211,16 +213,16 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
                         )
                     yield pd.DataFrame(outrows)
 
-        static = (
+        times = (
             df.mapInPandas(reencode, schema="q int, seconds double, bytes long")
             .groupBy("q")
             .agg(F.sum("seconds").alias("seconds"), F.sum("bytes").alias("bytes"))
             .toPandas()
-            .sort_values("q")
         )
+        static = times.dropna(subset=["q"]).sort_values("q")
         static_total_s = float(static["seconds"].sum())
         static_total_b = int(static["bytes"].sum())
-        pcr_total = float(t["convert_s"] + t["write_s"])
+        pcr_total = float(times.loc[times["q"].isna(), "seconds"].iloc[0])
         rows.append(
             {
                 "dataset": name,

@@ -1,4 +1,4 @@
-"""Shared harness for jobs/ and benchmarks/: dataset cache + cluster config.
+"""Shared harness for jobs/: dataset cache + cluster config.
 
 Datasets are built once under ``$REPRO_DATA`` (default ``.data/`` in the
 repo) and reused across jobs. Cluster constants mirror the paper's §6.1

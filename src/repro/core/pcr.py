@@ -29,8 +29,10 @@ file, and that each ``group_end`` is where the lengths put it.
 
 Reassembling image i at fidelity g = header_i + deltas 1..g + EOI,
 which our (truncation-tolerant) decoder renders — identical bytes to
-``markers.truncate_to_scans`` on the original progressive file.
+``markers.truncate_to_scans`` on the original progressive file. So a
+file cut short still serves every scan group it fully holds.
 """
+import bisect
 import itertools
 import os
 import struct
@@ -153,12 +155,19 @@ def read_pcr(path: str, scan_group: int) -> list[tuple[int, bytes]]:
     Reads the file prefix up to the requested scan group's end offset
     once, sequentially (the PCR access pattern): the index, then the
     headers and scan groups 1..g in one read. Each image's truncated
-    progressive JPEG is then reassembled in memory.
+    progressive JPEG is then reassembled in memory. A file cut short
+    serves the scan groups it fully holds, and raises ValueError naming
+    ``path`` if that is none.
     """
     with open(path, "rb") as f:
         info = _read_index(f, path)
         g = max(1, min(scan_group, info.n_scan_groups))
         buf = f.read(info.prefix_bytes(g) - info.index_bytes)
+    end = info.index_bytes + len(buf)
+    g = bisect.bisect_right(info.group_end, end, hi=g)
+    if g == 0:
+        raise ValueError(f"truncated PCR file {path}: it ends at byte {end}, "
+                         f"before scan group 1 ends at {info.group_end[0]}")
 
     parts: list[list[bytes]] = [[] for _ in range(info.n_images)]
     off = 0

@@ -10,7 +10,7 @@ from .baseline import encode_baseline
 from .decoder import decode, decode_to_coeffs
 from .markers import scan_spans, truncate_to_scans
 from .progressive import N_SCANS, encode_progressive
-from .transcode import baseline_to_progressive, progressive_to_baseline
+from .transcode import baseline_to_progressive
 
 __all__ = [
     "encode_baseline",
@@ -18,7 +18,6 @@ __all__ = [
     "decode",
     "decode_to_coeffs",
     "baseline_to_progressive",
-    "progressive_to_baseline",
     "scan_spans",
     "truncate_to_scans",
     "N_SCANS",

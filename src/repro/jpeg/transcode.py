@@ -1,4 +1,4 @@
-"""Lossless baseline <-> progressive transcoding (the jpegtran role).
+"""Lossless baseline -> progressive transcoding (the jpegtran role).
 
 ``baseline_to_progressive`` entropy-decodes a sequential JPEG to its
 quantized coefficients and re-serializes them with the progressive scan
@@ -7,7 +7,6 @@ decoded pixels) are bit-identical, which is the property the paper's
 encoder relies on (Section 5: "losslessly transform JPEG images into
 progressive JPEG images").
 """
-from .baseline import encode_baseline_from_coeffs
 from .decoder import decode_to_coeffs
 from .progressive import encode_progressive_from_coeffs
 
@@ -15,8 +14,3 @@ from .progressive import encode_progressive_from_coeffs
 def baseline_to_progressive(data: bytes) -> bytes:
     """Losslessly transcode a baseline JPEG to 10-scan progressive."""
     return encode_progressive_from_coeffs(decode_to_coeffs(data))
-
-
-def progressive_to_baseline(data: bytes) -> bytes:
-    """Losslessly transcode a (complete) progressive JPEG to baseline."""
-    return encode_baseline_from_coeffs(decode_to_coeffs(data))

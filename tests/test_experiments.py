@@ -4,11 +4,15 @@ These exercise the same code paths as jobs/ but against the session
 fixtures (no full-scale dataset builds), asserting the *shape*
 properties that EXPERIMENTS.md records.
 """
+import os
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.core import harness
-from repro.core.dataset import read_metadata
+from repro.core import experiments as cx
+from repro.core import harness, pcr
+from repro.core.dataset import read_metadata, record_paths
 from repro.train import experiments as tx
 
 
@@ -96,3 +100,31 @@ def test_fig6_similarity_ordered_by_fidelity(spark, celeba_dir, monkeypatch):
     row = t.iloc[0]
     assert row["scan_10"] == pytest.approx(1.0)
     assert row["scan_1"] <= row["scan_5"] + 0.05
+
+
+def test_fig22_times_the_conversion_of_the_stored_records(spark, celeba_dir, monkeypatch):
+    _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
+    monkeypatch.setattr(cx, "ALL_DATASETS", ["celeba_lite"])
+    row = cx.fig22_encoding_times(spark).iloc[0]
+    paths = record_paths(celeba_dir)
+    meta = read_metadata(spark, celeba_dir).toPandas()
+    assert row["pcr_bytes"] == sum(os.path.getsize(p) for p in paths)
+    assert row["baseline_bytes"] == meta["baseline_bytes"].sum()
+    assert row["pcr_convert_s"] > 0
+
+
+def test_fig22_rejects_a_record_its_conversion_does_not_give(
+        spark, celeba_dir, tmp_path, monkeypatch):
+    out = str(tmp_path / "celeba_lite")
+    shutil.copytree(celeba_dir, out)
+    path = record_paths(out)[0]
+    info = pcr.read_index(path)
+    with open(path, "r+b") as f:  # flip a byte inside scan group 5
+        f.seek(info.group_end[4] - 3)
+        b = f.read(1)
+        f.seek(-1, os.SEEK_CUR)
+        f.write(bytes([b[0] ^ 0x01]))
+    _patch_harness(monkeypatch, "celeba_lite", out)
+    monkeypatch.setattr(cx, "ALL_DATASETS", ["celeba_lite"])
+    with pytest.raises(Exception, match="differs from the PCR conversion"):
+        cx.fig22_encoding_times(spark)

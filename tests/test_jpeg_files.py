@@ -13,7 +13,6 @@ from repro.jpeg import (
     decode_to_coeffs,
     encode_baseline,
     encode_progressive,
-    progressive_to_baseline,
     scan_spans,
     truncate_to_scans,
 )
@@ -82,8 +81,23 @@ def test_transcode_is_lossless_in_coefficients(color_pair):
 
 def test_transcode_roundtrip_to_baseline(color_pair):
     _, b, _ = color_pair
-    back = progressive_to_baseline(baseline_to_progressive(b))
-    assert np.array_equal(decode(back), decode(b))
+    back = encode_baseline_from_coeffs(decode_to_coeffs(baseline_to_progressive(b)))
+    assert back == b
+
+
+@pytest.mark.parametrize("name", [*SPECS, "gray"])
+def test_direct_progressive_encode_equals_transcode(name):
+    # build_pcr_dataset entropy-codes forward()'s coefficients as
+    # progressive directly; the paper converts the baseline file. Same bytes.
+    if name == "gray":
+        cases = [(_image(61, 45, seed=3, color=False), 90)]
+    else:
+        spec = SPECS[name]
+        cases = [(generate_image(spec, i)[0], spec.quality) for i in range(8)]
+    for img, q in cases:
+        assert encode_progressive_from_coeffs(forward(img, q)) == (
+            baseline_to_progressive(encode_baseline(img, q))
+        )
 
 
 def test_scan_spans_partition_the_file(color_pair):
@@ -108,6 +122,7 @@ def test_truncation_quality_monotone_mssim(color_pair):
     full = decode(p)
     vals = [msssim(decode(truncate_to_scans(p, g)), full) for g in [1, 2, 5, 8, 10]]
     assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
+    assert 0.0 < vals[1] < 1.0
     assert vals[-1] == pytest.approx(1.0)
 
 

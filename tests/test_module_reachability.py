@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # Modules no job imports, each with the reason it stays.
 ALLOWED = {
     "repro.oracle": "the DuckDB reference the tests check Spark aggregations against",
-    "repro.train.spark_train": "Spark-side SGD timed by benchmarks/bench_train.py",
 }
 
 # Imports every job without running it (in a fresh interpreter, so modules

@@ -194,3 +194,46 @@ def test_out_of_range_scan_group_clamped(record):
     hi = pcr.read_pcr(path, 99)
     full = pcr.read_pcr(path, N_SCANS)
     assert [b for _, b in hi] == [b for _, b in full]
+
+
+def test_cut_file_serves_the_groups_it_holds(record, tmp_path):
+    # Cut 10 bytes into scan group 5: groups 1-4 are still served whole.
+    path, info, _, _ = record
+    with open(path, "rb") as f:
+        raw = f.read()
+    cut = _damaged(tmp_path, raw[: info.group_end[3] + 10])
+    assert pcr.read_pcr(cut, 10) == pcr.read_pcr(path, 4)
+    assert pcr.read_pcr(cut, 4) == pcr.read_pcr(path, 4)
+
+
+def test_cut_inside_headers_rejected(record, tmp_path):
+    path, info, _, _ = record
+    with open(path, "rb") as f:
+        raw = f.read()
+    cut = _damaged(tmp_path, raw[: info.index_bytes + sum(info.header_lens) - 1])
+    with pytest.raises(ValueError, match="damaged.pcr"):
+        pcr.read_pcr(cut, 1)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_cut_serves_the_groups_it_holds(record, tmp_path, data):
+    # A file cut after n bytes serves min(g, the groups ending by n) at
+    # any g; one that holds no whole group raises ValueError naming it.
+    path, info, progs, labels = record
+    with open(path, "rb") as f:
+        raw = f.read()
+    n = data.draw(st.one_of(
+        st.sampled_from([e - d for e in info.group_end for d in (0, 1)]),
+        st.integers(0, len(raw)),
+    ))
+    g = data.draw(st.integers(1, N_SCANS))
+    cut = _damaged(tmp_path, raw[:n])
+    held = sum(e <= n for e in info.group_end)
+    if held == 0:
+        with pytest.raises(ValueError, match="damaged.pcr"):
+            pcr.read_pcr(cut, g)
+        return
+    want = [(lab, truncate_to_scans(p, min(g, held))) for p, lab in zip(progs, labels)]
+    assert pcr.read_pcr(cut, g) == want

@@ -67,6 +67,7 @@ def test_scan_size_stats_oracle(spark, celeba_dir):
 def test_speedup_table_min_rule(spark, celeba_dir):
     meta = read_metadata(spark, celeba_dir)
     t = speedup_table(meta, compute_rate=450.0, bandwidth=1 * MiB)
+    assert t["scan"].tolist() == list(range(1, N_SCANS + 1))
     assert (t["predicted_rate"] <= 450.0 + 1e-9).all()
     # Lower scans -> higher predicted rate while IO bound.
     assert t.sort_values("scan")["predicted_rate"].is_monotonic_decreasing

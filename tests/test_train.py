@@ -1,7 +1,9 @@
-"""Unit tests for features, the softmax model, gradsim, and the autotuner."""
+"""Unit tests for features, the softmax model, gradsim, and the autotuner,
+plus end-to-end training on features the Spark PCR loader extracts."""
 import numpy as np
 import pytest
 
+from repro.core.dataset import collect_features, features_to_arrays
 from repro.train.autotune import autotune_train, static_train
 from repro.train.features import (
     BAND_OF_FEATURE,
@@ -209,3 +211,35 @@ def test_static_train_returns_accuracy_curve():
     accs = static_train(by_scan[10], y, by_scan[10][:50], y[:50], 2, epochs=8)
     assert len(accs) == 8
     assert accs[-1] > 0.8
+
+
+# ---------- end to end on the Spark loader ----------
+
+def test_training_beats_chance_full_fidelity(spark, celeba_dir):
+    pdf = collect_features(spark, celeba_dir, 10)
+    Xtr, ytr, Xte, yte = features_to_arrays(pdf)
+    Xtr, mu, sd = standardize(Xtr)
+    Xte, _, _ = standardize(Xte, mu, sd)
+    m = SoftmaxModel(Xtr.shape[1], 2, seed=0)
+    train_sgd(m, Xtr, ytr, epochs=30, lr=0.3)
+    assert m.accuracy(Xte, yte) > 0.75
+
+
+def test_fine_task_degrades_at_scan1_coarse_does_not(spark, cars_dir):
+    """The paper's §6.3 mechanism on the cars dataset: label coarsening
+    closes the accuracy gap between scan groups."""
+    accs = {}
+    for label_col in ["label", "make"]:
+        for g in [1, 10]:
+            pdf = collect_features(spark, cars_dir, g)
+            Xtr, ytr, Xte, yte = features_to_arrays(pdf, label_col)
+            nc = int(max(ytr.max(), yte.max()) + 1)
+            Xtr, mu, sd = standardize(Xtr, min_std=0.05)
+            Xte, _, _ = standardize(Xte, mu, sd)
+            m = SoftmaxModel(Xtr.shape[1], nc, seed=0)
+            train_sgd(m, Xtr, ytr, epochs=40, lr=0.3, lr_drops=(25, 35))
+            accs[(label_col, g)] = m.accuracy(Xte, yte)
+    gap_fine = accs[("label", 10)] - accs[("label", 1)]
+    gap_coarse = accs[("make", 10)] - accs[("make", 1)]
+    assert gap_fine > 0.1, accs
+    assert gap_coarse < gap_fine, accs
