@@ -115,7 +115,7 @@ def fig5_throughput(spark: SparkSession, dataset: str = "imagenet_lite",
             }
         )
     # TFRecord row: baseline mean size (~= scan 10).
-    mb = float(stats["mean_baseline"]) + 24  # + record framing overhead
+    mb = float(stats["mean_baseline"]) + tfrecord.RECORD_OVERHEAD
     sim = simulate_training(64, spec.images_per_record, mb, W, rate)
     rows.append(
         {

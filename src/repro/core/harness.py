@@ -72,10 +72,10 @@ def fmt_table(pdf: pd.DataFrame, floatfmt: str = "{:.3g}") -> str:
 
 
 def job_spark(app: str) -> SparkSession:
-    """SparkSession for standalone ``spark-submit``/CLI job runs.
+    """SparkSession for job runs; the pytest ``spark`` fixture uses it too.
 
-    Mirrors the conftest fixture's config; in pytest the fixture is used
-    instead.
+    Master and driver memory are fixed at JVM launch (``spark-submit`` or
+    ``PYSPARK_SUBMIT_ARGS``); the configs set here are honoured after it.
     """
     return (
         SparkSession.builder.appName(app)

@@ -11,6 +11,10 @@ Payload is a minimal "example": ``i32 label | u32 jpeg_len | jpeg``.
 import struct
 import zlib
 
+# Bytes a record adds to its JPEG: the u64 length, its CRC and the
+# payload's CRC (16 B of framing), plus the example's 8 B header.
+RECORD_OVERHEAD = 8 + 2 * 4 + 8
+
 
 def _masked_crc(data: bytes) -> int:
     crc = zlib.crc32(data) & 0xFFFFFFFF
@@ -45,19 +49,34 @@ def write_tfrecord(path: str, images: list[tuple[bytes, int]]) -> int:
 
 
 def read_tfrecord(path: str) -> list[tuple[int, bytes]]:
-    """Read a TFRecord file; returns [(label, jpeg_bytes)]. Verifies CRCs."""
+    """Read a TFRecord file; returns [(label, jpeg_bytes)].
+
+    Raises ValueError naming ``path`` on a bad CRC or a file that ends
+    inside a record.
+    """
     out = []
     with open(path, "rb") as f:
         data = f.read()
     i = 0
     while i < len(data):
+        if i + 12 > len(data):
+            raise ValueError(f"truncated TFRecord file {path}: it ends inside "
+                             f"the length field of the record at byte {i}")
         hdr = data[i : i + 8]
         (length,) = struct.unpack("<Q", hdr)
-        (crc_h,) = struct.unpack("<I", data[i + 8 : i + 12])
-        assert crc_h == _masked_crc(hdr), "corrupt length crc"
-        payload = data[i + 12 : i + 12 + length]
-        (crc_p,) = struct.unpack("<I", data[i + 12 + length : i + 16 + length])
-        assert crc_p == _masked_crc(payload), "corrupt payload crc"
+        (crc_h,) = struct.unpack_from("<I", data, i + 8)
+        if crc_h != _masked_crc(hdr):
+            raise ValueError(f"corrupt TFRecord file {path}: bad length CRC "
+                             f"of the record at byte {i}")
+        end = i + 16 + length
+        if end > len(data):
+            raise ValueError(f"truncated TFRecord file {path}: the record at "
+                             f"byte {i} runs past its end")
+        payload = data[i + 12 : end - 4]
+        (crc_p,) = struct.unpack_from("<I", data, end - 4)
+        if crc_p != _masked_crc(payload):
+            raise ValueError(f"corrupt TFRecord file {path}: bad payload CRC "
+                             f"of the record at byte {i}")
         out.append(_parse_example(payload))
-        i += 16 + length
+        i = end
     return out

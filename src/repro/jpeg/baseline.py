@@ -14,7 +14,7 @@ import numpy as np
 
 from . import markers
 from .codec import CoeffImage, forward
-from .huffman import build_optimal_table, magnitude_bits, pack_scan
+from .huffman import magnitude_bits, optimal_tables, pack_scan
 from .quant import ZIGZAG
 
 
@@ -78,15 +78,13 @@ def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
     tids = [0 if c == 0 else 1 for c in range(nc)]
     dc = [dc_symbols(comp.coeffs) for comp in ci.components]
     ac = [ac_symbols(comp.coeffs[:, 1:]) for comp in ci.components]
-    dc_tabs, ac_tabs = {}, {}
-    for tid in sorted(set(tids)):
-        comps = [c for c in range(nc) if tids[c] == tid]
-        dc_tabs[tid] = build_optimal_table(
-            sum(np.bincount(dc[c][0], minlength=256) for c in comps)
-        )
-        freq = sum(np.bincount(ac[c][0], minlength=256) for c in comps)
-        freq[0] += sum(int(ac[c][3].sum()) for c in comps)  # EOB
-        ac_tabs[tid] = build_optimal_table(freq)
+    dc_tabs = optimal_tables(tids, [np.bincount(sym, minlength=256) for sym, _ in dc])
+    ac_hists = []
+    for sym, _, _, eob in ac:
+        hist = np.bincount(sym, minlength=256)
+        hist[0] += eob.sum()  # EOB
+        ac_hists.append(hist)
+    ac_tabs = optimal_tables(tids, ac_hists)
 
     out = _header(ci, markers.SOF0)
     for tid in sorted(dc_tabs):

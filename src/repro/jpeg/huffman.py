@@ -141,6 +141,15 @@ def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
     return HuffmanTable(bits=bits[1 : MAX_CODE_LEN + 1], values=order)
 
 
+def optimal_tables(slots: list[int], hists: list[np.ndarray]) -> dict[int, HuffmanTable]:
+    """One optimal table per table slot, built from the summed symbol
+    histograms ``hists[i]`` of every ``i`` with ``slots[i]`` equal to it."""
+    return {
+        t: build_optimal_table(sum(h for s, h in zip(slots, hists) if s == t))
+        for t in sorted(set(slots))
+    }
+
+
 def magnitude_category(v) -> np.ndarray:
     """JPEG magnitude category (number of extra bits) of each DC diff /
     AC coefficient: the bit length of ``|v|``."""

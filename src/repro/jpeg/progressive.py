@@ -5,11 +5,11 @@ early luma AC, full chroma early, then widening luma AC bands) but uses
 spectral selection only — see DESIGN.md §3 for why this substitution
 preserves everything the paper relies on.
 
-All Huffman tables (per-class DC tables + one shared optimal AC table
-covering every AC scan's symbols) are emitted in the file header, ahead
-of the first SOS. This keeps per-scan overhead to the ~10-byte SOS
-marker, so a PCR's scan groups carry almost pure entropy data and the
-progressive file stays at or below the baseline file's size on
+All Huffman tables (one optimal DC table per luma/chroma class, one
+optimal AC table per AC slot named in the scan script) are emitted in
+the file header, ahead of the first SOS. This keeps per-scan overhead
+to the ~10-byte SOS marker, so a PCR's scan groups carry almost pure
+entropy data and the progressive file stays at or below the baseline file's size on
 realistic images (the paper's "PCRs are usually 5% smaller than
 TFRecords" property). Any byte prefix ending at a scan boundary is
 still self-contained, because every table lives in the always-read
@@ -20,65 +20,45 @@ import numpy as np
 from . import markers
 from .baseline import _dht_payload, _header, ac_symbols, dc_symbols
 from .codec import CoeffImage, forward
-from .huffman import build_optimal_table, magnitude_category, pack_scan
+from .huffman import magnitude_category, optimal_tables, pack_scan
 
 EOBRUN_MAX = 0x7FFF  # longest end-of-band run one EOBn symbol can send
 
-# (component index or None for interleaved-DC, Ss, Se)
-SCRIPT_COLOR: list[tuple[int | None, int, int]] = [
-    (None, 0, 0),  # 1: DC, all components
-    (0, 1, 5),     # 2: Y AC 1-5
-    (1, 1, 63),    # 3: Cb AC (full)
-    (2, 1, 63),    # 4: Cr AC (full)
-    (0, 6, 13),    # 5: Y AC 6-13
-    (0, 14, 21),   # 6
-    (0, 22, 30),   # 7
-    (0, 31, 40),   # 8
-    (0, 41, 51),   # 9
-    (0, 52, 63),   # 10
+# (component index or None for interleaved DC, Ss, Se, AC table slot).
+# Scans with similar symbol statistics share one of JPEG's four AC
+# table slots: early luma, chroma, mid luma, high luma (for grayscale:
+# low, mid and high frequencies).
+SCRIPT_COLOR: list[tuple[int | None, int, int, int | None]] = [
+    (None, 0, 0, None),  # 1: DC, all components
+    (0, 1, 5, 0),        # 2: Y AC 1-5
+    (1, 1, 63, 1),       # 3: Cb AC (full)
+    (2, 1, 63, 1),       # 4: Cr AC (full)
+    (0, 6, 13, 0),       # 5: Y AC 6-13
+    (0, 14, 21, 2),      # 6
+    (0, 22, 30, 2),      # 7
+    (0, 31, 40, 3),      # 8
+    (0, 41, 51, 3),      # 9
+    (0, 52, 63, 3),      # 10
 ]
 
-SCRIPT_GRAY: list[tuple[int | None, int, int]] = [
-    (None, 0, 0),
-    (0, 1, 2),
-    (0, 3, 5),
-    (0, 6, 9),
-    (0, 10, 14),
-    (0, 15, 21),
-    (0, 22, 30),
-    (0, 31, 41),
-    (0, 42, 52),
-    (0, 53, 63),
+SCRIPT_GRAY: list[tuple[int | None, int, int, int | None]] = [
+    (None, 0, 0, None),
+    (0, 1, 2, 0),
+    (0, 3, 5, 0),
+    (0, 6, 9, 0),
+    (0, 10, 14, 2),
+    (0, 15, 21, 2),
+    (0, 22, 30, 2),
+    (0, 31, 41, 3),
+    (0, 42, 52, 3),
+    (0, 53, 63, 3),
 ]
 
 N_SCANS = 10
 
 
-def script_for(n_components: int) -> list[tuple[int | None, int, int]]:
+def script_for(n_components: int) -> list[tuple[int | None, int, int, int | None]]:
     return SCRIPT_COLOR if n_components == 3 else SCRIPT_GRAY
-
-
-def _ac_table_classes(script) -> dict[int, int]:
-    """Assign each AC scan index one of JPEG's 4 AC table slots.
-
-    Scans with similar symbol statistics share a slot: early luma,
-    chroma, mid luma, high luma (for grayscale: four frequency tiers).
-    """
-    ac_scans = [si for si, (c, _, _) in enumerate(script) if c is not None]
-    classes: dict[int, int] = {}
-    chroma = [si for si in ac_scans if script[si][0] in (1, 2)]
-    luma = [si for si in ac_scans if script[si][0] not in (1, 2)]
-    for si in chroma:
-        classes[si] = 1
-    n = len(luma)
-    for r, si in enumerate(luma):
-        if r < max(1, n // 3):
-            classes[si] = 0
-        elif r < max(2, 2 * n // 3):
-            classes[si] = 2
-        else:
-            classes[si] = 3
-    return classes
 
 
 def _ac_band_symbols(coeffs: np.ndarray, ss: int, se: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,30 +91,19 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     script = script_for(nc)
     tids = [0 if c == 0 else 1 for c in range(nc)]
 
-    # Pass 1: gather symbols for every scan.
+    # Pass 1: gather symbols for every scan, then build one optimal DC
+    # table per luma/chroma class and one AC table per script slot.
     dc = [dc_symbols(comp.coeffs) for comp in ci.components]
     ac_scans = {
         si: _ac_band_symbols(ci.components[comp_idx].coeffs, ss, se)
-        for si, (comp_idx, ss, se) in enumerate(script)
+        for si, (comp_idx, ss, se, _) in enumerate(script)
         if comp_idx is not None
     }
-
-    # Build tables: one DC table per luma/chroma class; AC scans share
-    # JPEG's four AC table slots, clustered by scan statistics (early
-    # luma / chroma / mid luma / high luma) with one optimal table each.
-    dc_tabs = {}
-    for tid in sorted(set(tids)):
-        comps = [c for c in range(nc) if tids[c] == tid]
-        dc_tabs[tid] = build_optimal_table(
-            sum(np.bincount(dc[c][0], minlength=256) for c in comps)
-        )
-    ac_class = _ac_table_classes(script)
-    ac_tabs = {}
-    for cls in sorted(set(ac_class.values())):
-        ac_tabs[cls] = build_optimal_table(sum(
-            np.bincount(ac_scans[si][0], minlength=256)
-            for si, c in ac_class.items() if c == cls
-        ))
+    dc_tabs = optimal_tables(tids, [np.bincount(sym, minlength=256) for sym, _ in dc])
+    ac_tabs = optimal_tables(
+        [script[si][3] for si in ac_scans],
+        [np.bincount(sym, minlength=256) for sym, _ in ac_scans.values()],
+    )
 
     # Header: SOI/APP0/DQT/SOF2 + all DHTs (always-read span in a PCR).
     out = _header(ci, markers.SOF2)
@@ -142,7 +111,7 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     dht += b"".join(_dht_payload(ac_tabs[t], 1, t) for t in sorted(ac_tabs))
     out += markers.seg(markers.DHT, dht)
 
-    for si, (comp_idx, ss, se) in enumerate(script):
+    for si, (comp_idx, ss, se, slot) in enumerate(script):
         if comp_idx is None:
             sos = bytes([nc])
             for c, comp in enumerate(ci.components):
@@ -156,8 +125,8 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
             words, nbits = words.ravel(), nbits.ravel()
         else:
             comp = ci.components[comp_idx]
-            sos = bytes([1, comp.comp_id, ac_class[si]]) + bytes([ss, se, 0])
-            words, nbits = ac_tabs[ac_class[si]].words(*ac_scans[si])
+            sos = bytes([1, comp.comp_id, slot]) + bytes([ss, se, 0])
+            words, nbits = ac_tabs[slot].words(*ac_scans[si])
         out += markers.seg(markers.SOS, sos)
         out += pack_scan(words, nbits)
     out += markers.seg(markers.EOI)

@@ -49,12 +49,9 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
             ok = [g for g, s in score.items() if s >= threshold]
             scan = min(ok) if ok else full_scan
             sims.append({"epoch": epoch, "chosen": scan, **{f"scan_{g}": s for g, s in score.items()}})
-        X = X_by_scan[scan]
-        idx = rng.permutation(len(y))
-        for s in range(0, len(y), 64):
-            b = idx[s : s + 64]
-            dW, db = model.gradient(X[b], y[b])
-            model.step(dW, db, cur_lr)
+        # default_rng(rng) is rng: the epoch's permutation comes from the
+        # same stream as the probes.
+        train_sgd(model, X_by_scan[scan], y, epochs=1, lr=cur_lr, seed=rng)
         scans.append(scan)
         accs.append(model.accuracy(X_test, y_test))
     return AutotuneResult(scans, accs, sims)

@@ -16,6 +16,7 @@ from pyspark.sql import SparkSession
 from repro.core import harness
 from repro.core.analysis import scan_size_stats
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
+from repro.formats import tfrecord
 from repro.iosim.pipeline import epoch_time, time_to_accuracy
 from repro.iosim.storage import MiB
 from repro.synth_images import SPECS, n_images
@@ -211,7 +212,8 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
     W = harness.reference_bandwidth(meta)
     tf_epoch = epoch_time(
         n_images(SPECS[dataset], sf), W,
-        float(stats["mean_baseline"]) + 24, harness.cluster_rate(model),
+        float(stats["mean_baseline"]) + tfrecord.RECORD_OVERHEAD,
+        harness.cluster_rate(model),
     )
     rows.append(
         {

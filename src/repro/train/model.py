@@ -75,7 +75,8 @@ def standardize(X: np.ndarray, mean=None, std=None, min_std: float = 1e-8):
 
 def train_sgd(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,
               epochs: int, lr: float = 0.5, batch_size: int = 64,
-              lr_drops: tuple[int, ...] = (), seed: int = 0,
+              lr_drops: tuple[int, ...] = (),
+              seed: int | np.random.Generator = 0,
               eval_fn=None) -> list:
     """Minibatch SGD with step-decay (paper drops lr 10x at fixed epochs).
 

@@ -1,6 +1,7 @@
 """Unit tests for the TFRecord baseline record layout."""
 import os
 
+import numpy as np
 import pytest
 
 from repro.formats import tfrecord
@@ -27,6 +28,7 @@ def test_tfrecord_framing_overhead(tmp_path, items):
     payload = sum(len(j) for j, _ in items)
     # 16 bytes framing + 8 bytes example header per record.
     assert total == payload + 24 * len(items)
+    assert tfrecord.RECORD_OVERHEAD == 24
 
 
 def test_tfrecord_crc_detects_corruption(tmp_path, items):
@@ -35,6 +37,24 @@ def test_tfrecord_crc_detects_corruption(tmp_path, items):
     data = bytearray(open(p, "rb").read())
     data[20] ^= 0xFF
     open(p, "wb").write(bytes(data))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="x.tfrec"):
         tfrecord.read_tfrecord(p)
+
+
+def test_tfrecord_every_cut_is_rejected_or_whole(tmp_path, items):
+    # A file cut at any byte either raises ValueError naming it or, at a
+    # record boundary, reads back exactly the records it holds.
+    p = tmp_path / "x.tfrec"
+    tfrecord.write_tfrecord(str(p), items)
+    data = p.read_bytes()
+    full = tfrecord.read_tfrecord(str(p))
+    ends = np.cumsum([0] + [len(jpeg) + 24 for jpeg, _ in items]).tolist()
+    cut = tmp_path / "cut.tfrec"
+    for n in range(len(data) + 1):
+        cut.write_bytes(data[:n])
+        if n in ends:
+            assert tfrecord.read_tfrecord(str(cut)) == full[: ends.index(n)], n
+        else:
+            with pytest.raises(ValueError, match="cut.tfrec"):
+                tfrecord.read_tfrecord(str(cut))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg.decoder import _dc_scan
+from repro.jpeg.decoder import _interleaved_scan
 from repro.jpeg.huffman import (
     LOOKAHEAD_BITS,
     MAX_CODE_LEN,
@@ -230,8 +230,9 @@ def test_segment_words_unstuffs_ff():
 
 
 def test_scan_eof_keeps_only_complete_symbols():
-    # A DC scan cut at every byte stores exactly the values whose code
-    # and extra bits all lie in the cut, then raises EOFError.
+    # A DC-first scan (se = 0, no AC table) cut at every byte stores
+    # exactly the values whose code and extra bits all lie in the cut,
+    # then raises EOFError.
     rng = np.random.default_rng(0)
     diffs = rng.integers(-300, 300, size=40).tolist()
     extra, size = magnitude_bits(diffs)
@@ -245,9 +246,9 @@ def test_scan_eof_keeps_only_complete_symbols():
         complete = sum(e <= 8 * n for e in ends)
         if complete < len(diffs):
             with pytest.raises(EOFError):
-                _dc_scan(data[:n], len(diffs), [t], [memoryview(out)])
+                _interleaved_scan(data[:n], len(diffs), 0, [t], [None], [memoryview(out)])
         else:
-            _dc_scan(data[:n], len(diffs), [t], [memoryview(out)])
+            _interleaved_scan(data[:n], len(diffs), 0, [t], [None], [memoryview(out)])
         assert out[::64].tolist() == (np.cumsum(diffs[:complete]).tolist()
                                       + [0] * (len(diffs) - complete))
 

@@ -237,7 +237,7 @@ def test_decode_matches_forward_transform_oracle(h, w, quality, color, noise, se
     assert all(np.array_equal(a, r) for a, r in zip(_coeffs(encode_baseline(img, quality)), ref))
     p = encode_progressive(img, quality)
     keep = [np.zeros(64, dtype=bool) for _ in ref]
-    for g, (comp, ss, se) in enumerate(script_for(len(ref)), start=1):
+    for g, (comp, ss, se, _) in enumerate(script_for(len(ref)), start=1):
         for c in range(len(ref)) if comp is None else [comp]:
             keep[c][ss : se + 1] = True
         got = _coeffs(truncate_to_scans(p, g))
@@ -260,6 +260,19 @@ def test_golden_coefficient_digest():
         for c in _coeffs(data):
             h.update(c.astype("<i4").tobytes())
     assert h.hexdigest() == "52badcce7af9fb32c4a3c4f1a1dfbca584b3a7817259247eb7d76721342c2ad6"
+
+
+def test_golden_cut_baseline_digest():
+    # Pins the baseline scan's decode of every cut, from the end of the
+    # SOS header to the full stream: celeba_lite image 3's baseline twin
+    # and a 61x45 grayscale baseline.
+    h = hashlib.sha256()
+    for b in (_celeba_pair(3)[0], encode_baseline(_image(61, 45, color=False), 90)):
+        (sos,) = [s for s in markers.parse(b) if s.marker == markers.SOS]
+        for n in range(sos.end - len(sos.entropy), len(b) + 1):
+            for c in _coeffs(b[:n]):
+                h.update(c.astype("<i4").tobytes())
+    assert h.hexdigest() == "4da8bef48229f12d32f897c65b0fa64ffd9f48c89607b2a8b224640d96bede70"
 
 
 def _coeff_image(h, w, n_comp, seed):
