@@ -1,15 +1,19 @@
 """Analysis over PCR metadata: Table 1 ratios, Fig 8 sizes, speedups.
 
-All aggregations run through Spark SQL over the metadata sidecar (and
-are oracle-checked against DuckDB in tests). ``cumulative_bytes(g)``
+``scan_size_stats`` is the one Spark aggregation of the metadata
+sidecar's per-scan means (oracle-checked against DuckDB in tests);
+``size_reduction_table``, ``speedup_table`` and
+``harness.reference_bandwidth`` are arithmetic on its row, so a caller
+aggregates a dataset once and passes the row down. ``cumulative_bytes(g)``
 counts header + scans 1..g per image — the exact bytes the PCR loader
 reads for that image at fidelity g.
 """
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.formats import tfrecord
+from repro.iosim.pipeline import system_throughput
 from repro.jpeg import N_SCANS
 
 
@@ -23,8 +27,9 @@ def with_cumulative(meta: DataFrame) -> DataFrame:
     return out
 
 
-def scan_size_stats(meta: DataFrame) -> pd.DataFrame:
-    """Mean per-image bytes at each fidelity + full/baseline means (Fig 8)."""
+def scan_size_stats(meta: DataFrame) -> pd.Series:
+    """Mean per-image bytes at each fidelity + full/baseline means and
+    the image count, as one row (Fig 8)."""
     cum = with_cumulative(meta)
     aggs = [F.avg(f"cum_{g}_bytes").alias(f"mean_cum_{g}") for g in range(1, N_SCANS + 1)]
     aggs += [
@@ -32,16 +37,15 @@ def scan_size_stats(meta: DataFrame) -> pd.DataFrame:
         F.avg("progressive_bytes").alias("mean_progressive"),
         F.count("*").alias("n_images"),
     ]
-    return cum.agg(*aggs).toPandas()
+    return cum.agg(*aggs).toPandas().iloc[0]
 
 
-def size_reduction_table(meta: DataFrame, scans=(1, 2, 5, 10)) -> dict:
+def size_reduction_table(stats: pd.Series, scans=(1, 2, 5, 10)) -> dict:
     """One Table-1 row: reduction factor per scan + mean image size.
 
     Reduction factor for scan g = mean full-fidelity bytes / mean bytes
     read at fidelity g (so scan 10 is 1x by construction).
     """
-    stats = scan_size_stats(meta).iloc[0]
     full = stats[f"mean_cum_{N_SCANS}"]
     row = {
         f"scan_{g}": float(full / stats[f"mean_cum_{g}"]) for g in scans
@@ -50,35 +54,40 @@ def size_reduction_table(meta: DataFrame, scans=(1, 2, 5, 10)) -> dict:
     return row
 
 
-def speedup_table(meta: DataFrame, compute_rate: float, bandwidth: float,
-                  scans=tuple(range(1, N_SCANS + 1))) -> pd.DataFrame:
-    """Predicted throughput per scan group (Fig 5 'Predicted' series).
+def speedup_table(stats: pd.Series, compute_rate: float,
+                  bandwidth: float) -> pd.DataFrame:
+    """Predicted cluster throughput per scan group and for TFRecord (Fig 5
+    'Predicted' series), indexed by config ``scan_1..scan_10, tfrecord``.
 
-    Applies Lemma A.2/A.4: X_g = min(compute_rate, W / E[s(x, g)]).
+    Applies Lemma A.2/A.4, X_g = min(compute_rate, W / E[s(x, g)]); a
+    TFRecord image costs its baseline JPEG plus the record framing.
     """
-    stats = scan_size_stats(meta).iloc[0]
-    rows = []
-    for g in scans:
-        mean_bytes = stats[f"mean_cum_{g}"]
-        xg = bandwidth / mean_bytes
-        rows.append(
+    mean_bytes = {f"scan_{g}": stats[f"mean_cum_{g}"] for g in range(1, N_SCANS + 1)}
+    mean_bytes["tfrecord"] = stats["mean_baseline"] + tfrecord.RECORD_OVERHEAD
+    return pd.DataFrame(
+        [
             {
-                "scan": g,
-                "mean_bytes": float(mean_bytes),
-                "data_rate": float(xg),
-                "predicted_rate": float(min(compute_rate, xg)),
+                "config": config,
+                "mean_bytes": float(b),
+                "predicted_rate": system_throughput(bandwidth, float(b), compute_rate),
             }
-        )
-    return pd.DataFrame(rows)
+            for config, b in mean_bytes.items()
+        ]
+    ).set_index("config")
 
 
 def scan_size_distribution(meta: DataFrame) -> pd.DataFrame:
     """Per-scan cumulative size quartiles (the Fig 8 interquartile view)."""
-    cum = with_cumulative(meta)
-    rows = []
-    for g in range(1, N_SCANS + 1):
-        q = cum.select(
-            F.percentile_approx(f"cum_{g}_bytes", [0.25, 0.5, 0.75]).alias("q")
-        ).collect()[0]["q"]
-        rows.append({"scan": g, "p25": q[0], "p50": q[1], "p75": q[2]})
-    return pd.DataFrame(rows)
+    q = with_cumulative(meta).agg(
+        *[
+            F.percentile_approx(f"cum_{g}_bytes", [0.25, 0.5, 0.75]).alias(f"q{g}")
+            for g in range(1, N_SCANS + 1)
+        ]
+    ).collect()[0]
+    return pd.DataFrame(
+        [
+            {"scan": g, "p25": q[f"q{g}"][0], "p50": q[f"q{g}"][1],
+             "p75": q[f"q{g}"][2]}
+            for g in range(1, N_SCANS + 1)
+        ]
+    )

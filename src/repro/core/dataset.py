@@ -62,11 +62,11 @@ def tfrecord_path(pcr_path: str) -> str:
 
 
 def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
-                      sf: float = 1.0) -> DataFrame:
+                      sf: float = 1.0) -> None:
     """Encode a synthetic dataset into PCR + TFRecord files under ``out_dir``.
 
-    One record per Spark partition. Returns (and writes to
-    ``out_dir/metadata.parquet``) the per-image metadata DataFrame.
+    One record per Spark partition. Writes the per-image metadata to
+    ``out_dir/metadata.parquet``.
     """
     spec = synth_images.SPECS[name]
     n = synth_images.n_images(spec, sf)
@@ -115,9 +115,7 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
         yield pd.DataFrame(rows)
 
     meta = ids.mapInPandas(encode_partition, schema=_META_SCHEMA)
-    meta_path = os.path.join(out_dir, "metadata.parquet")
-    meta.write.mode("overwrite").parquet(meta_path)
-    return spark.read.parquet(meta_path)
+    meta.write.mode("overwrite").parquet(os.path.join(out_dir, "metadata.parquet"))
 
 
 def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
@@ -189,7 +187,6 @@ def dataset_summary(spark: SparkSession, out_dir: str, name: str) -> dict:
     agg = meta.agg(
         F.countDistinct("record").alias("records"),
         F.count("*").alias("images"),
-        F.sum("progressive_bytes").alias("payload_bytes"),
         F.countDistinct("label").alias("classes"),
     ).collect()[0]
     total_size = sum(

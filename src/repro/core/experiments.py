@@ -25,7 +25,7 @@ from repro.core.analysis import (
 from repro.core.dataset import (dataset_summary, read_metadata, record_paths,
                                 tfrecord_path)
 from repro.formats import tfrecord
-from repro.iosim.pipeline import simulate_training, system_throughput
+from repro.iosim.pipeline import simulate_training
 from repro.iosim.storage import MiB, StorageModel
 from repro.jpeg import N_SCANS, baseline_to_progressive, decode, encode_baseline
 from repro.metrics.mssim import msssim
@@ -40,7 +40,7 @@ def table1_size_reduction(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     rows = []
     for name in ALL_DATASETS:
         meta = read_metadata(spark, harness.get_or_build(spark, name, sf))
-        r = size_reduction_table(meta, scans=TABLE_SCANS)
+        r = size_reduction_table(scan_size_stats(meta), scans=TABLE_SCANS)
         rows.append({"dataset": name, **r})
     return pd.DataFrame(rows)
 
@@ -94,38 +94,17 @@ def fig5_throughput(spark: SparkSession, dataset: str = "imagenet_lite",
     """Fig 5/15/24-middle: cluster training rate per scan, predicted vs
     event-simulated, plus the TFRecord baseline row."""
     out = harness.get_or_build(spark, dataset, sf)
-    meta = read_metadata(spark, out)
-    W = harness.reference_bandwidth(meta, "resnet_lite")
+    stats = scan_size_stats(read_metadata(spark, out))
+    W = harness.reference_bandwidth(stats, "resnet_lite")
     rate = harness.cluster_rate(model)
-    stats = scan_size_stats(meta).iloc[0]
-    spec = SPECS[dataset]
-    pred = speedup_table(meta, compute_rate=rate, bandwidth=W)
-    rows = []
-    for _, r in pred.iterrows():
-        sim = simulate_training(
-            n_records=64, images_per_record=spec.images_per_record,
-            mean_image_bytes=r["mean_bytes"], bandwidth=W, compute_rate=rate,
-        )
-        rows.append(
-            {
-                "config": f"scan_{int(r['scan'])}",
-                "mean_bytes": r["mean_bytes"],
-                "predicted_rate": r["predicted_rate"],
-                "simulated_rate": sim.throughput,
-            }
-        )
-    # TFRecord row: baseline mean size (~= scan 10).
-    mb = float(stats["mean_baseline"]) + tfrecord.RECORD_OVERHEAD
-    sim = simulate_training(64, spec.images_per_record, mb, W, rate)
-    rows.append(
-        {
-            "config": "tfrecord",
-            "mean_bytes": mb,
-            "predicted_rate": system_throughput(W, mb, rate),
-            "simulated_rate": sim.throughput,
-        }
-    )
-    df = pd.DataFrame(rows)
+    df = speedup_table(stats, compute_rate=rate, bandwidth=W).reset_index()
+    df["simulated_rate"] = [
+        simulate_training(
+            n_records=64, images_per_record=SPECS[dataset].images_per_record,
+            mean_image_bytes=b, bandwidth=W, compute_rate=rate,
+        ).throughput
+        for b in df["mean_bytes"]
+    ]
     df["bandwidth_MiB_s"] = W / MiB
     return df
 
@@ -251,8 +230,7 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
     """
     out = harness.get_or_build(spark, dataset, sf)
     paths = record_paths(out)
-    meta = read_metadata(spark, out)
-    stats = scan_size_stats(meta).iloc[0]
+    stats = scan_size_stats(read_metadata(spark, out))
     n_img = sum(pcr.read_index(p).n_images for p in paths)
     storage = StorageModel()
     rows = []

@@ -14,10 +14,9 @@ result depends on. See DESIGN.md "Simulated time vs wall-clock".
 import os
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.core.analysis import scan_size_stats
-from repro.core.dataset import build_pcr_dataset, read_metadata
+from repro.core.dataset import build_pcr_dataset
 from repro.iosim.pipeline import MODEL_RATES
 
 N_NODES = 10  # paper: 10 training workers (20 in the "heavy" runs)
@@ -46,16 +45,16 @@ def cluster_rate(model: str, n_nodes: int = N_NODES) -> float:
     return MODEL_RATES[model] * n_nodes
 
 
-def reference_bandwidth(meta: DataFrame, model: str = "resnet_lite",
+def reference_bandwidth(stats: pd.Series, model: str = "resnet_lite",
                         n_nodes: int = N_NODES) -> float:
     """Cluster storage bandwidth (bytes/s) for the Figure-5 regime.
 
     Chosen so full-fidelity (scan 10) data throughput is half the
     cluster compute rate — scan 10 I/O bound by 2x, scan 5 (~half the
     bytes) right at the compute limit, matching the paper's cluster.
+    ``stats`` is the dataset's ``analysis.scan_size_stats`` row.
     """
-    mean_full = float(scan_size_stats(meta).iloc[0]["mean_cum_10"])
-    return 0.5 * cluster_rate(model, n_nodes) * mean_full
+    return 0.5 * cluster_rate(model, n_nodes) * float(stats["mean_cum_10"])
 
 
 def fmt_table(pdf: pd.DataFrame, floatfmt: str = "{:.3g}") -> str:
@@ -76,10 +75,12 @@ def job_spark(app: str) -> SparkSession:
 
     Master and driver memory are fixed at JVM launch (``spark-submit`` or
     ``PYSPARK_SUBMIT_ARGS``); the configs set here are honoured after it.
+    Console progress bars are off, so a job's output is its report.
     """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

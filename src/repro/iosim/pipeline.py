@@ -1,8 +1,8 @@
 """Closed-system training-pipeline model (paper §4.1, Appendix A.2).
 
 Closed-form side: Little's-law throughput ``X_g = W / E[s(x, g)]``
-(Lemma A.2), the system bound ``X = min(X_c, X_g)`` (Lemma A.4), and
-the data-bound speedup ratio of mean sizes (Theorem 4.1/A.5).
+(Lemma A.2) and the system bound ``X = min(X_c, X_g)`` (Lemma A.4);
+``analysis.speedup_table`` prices each scan group of a dataset with them.
 
 Event-driven side: ``simulate_training`` runs the paper's Figure 17
 two-stage system (loader feeding a prefetch queue, compute draining
@@ -30,17 +30,6 @@ def system_throughput(bandwidth: float, mean_image_bytes: float,
     return min(compute_rate, data_throughput(bandwidth, mean_image_bytes))
 
 
-def max_speedup(mean_bytes_full: float, mean_bytes_reduced: float) -> float:
-    """Theorem 4.1: data-bound speedup = ratio of mean sample sizes."""
-    return mean_bytes_full / mean_bytes_reduced
-
-
-def epoch_time(n_images: int, bandwidth: float, mean_image_bytes: float,
-               compute_rate: float) -> float:
-    """Seconds per epoch under the closed-form system throughput."""
-    return n_images / system_throughput(bandwidth, mean_image_bytes, compute_rate)
-
-
 def time_to_accuracy(acc_per_epoch: list[float], target: float,
                      seconds_per_epoch: float) -> float | None:
     """Simulated seconds to first reach ``target`` accuracy (None if never)."""
@@ -59,15 +48,14 @@ class SimResult:
 
 def simulate_training(n_records: int, images_per_record: int,
                       mean_image_bytes: float, bandwidth: float,
-                      compute_rate: float, prefetch_depth: int = 2,
-                      seek_latency: float = 0.0) -> SimResult:
+                      compute_rate: float, prefetch_depth: int = 2) -> SimResult:
     """Event-driven double-buffer loader -> compute simulation (Fig 17/18).
 
     The loader is a closed system (fetches the next record as soon as a
     prefetch slot frees); compute drains records first-come-first-serve
     and stalls when the queue is empty.
     """
-    fetch_time = seek_latency + images_per_record * mean_image_bytes / bandwidth
+    fetch_time = images_per_record * mean_image_bytes / bandwidth
     compute_time = images_per_record / compute_rate
     ready: list[float] = []  # completion times of fetched-not-consumed records
     loader_free = 0.0

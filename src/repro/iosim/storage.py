@@ -23,12 +23,6 @@ class StorageModel:
         """Seconds to service ``nbytes`` split over ``n_seeks`` random reads."""
         return n_seeks * self.seek_latency + nbytes / self.bandwidth
 
-    def record_epoch_time(self, n_images: int, mean_image_bytes: float,
-                         images_per_record: int) -> float:
-        """Epoch read time for a record layout (one seek per record)."""
-        n_records = -(-n_images // images_per_record)
-        return self.read_time(int(n_images * mean_image_bytes), n_records)
-
     def fpi_epoch_time(self, n_images: int, mean_image_bytes: float) -> float:
         """Epoch read time for File-per-Image (one seek per image)."""
         return self.read_time(int(n_images * mean_image_bytes), n_images)

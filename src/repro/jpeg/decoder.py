@@ -46,7 +46,8 @@ def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
     i = 0
     while i < len(payload):
         pq, tq = payload[i] >> 4, payload[i] & 0xF
-        assert pq == 0, "only 8-bit quant tables supported"
+        if pq != 0:
+            raise ValueError("only 8-bit quant tables supported")
         zz = np.frombuffer(payload[i + 1 : i + 65], dtype=np.uint8).astype(np.int32)
         qtables[tq] = zz[UNZIGZAG].reshape(8, 8)
         i += 65
@@ -66,12 +67,14 @@ def _parse_dht(payload: bytes, tables: dict[tuple[int, int], HuffmanTable]) -> N
 class _Frame:
     def __init__(self, payload: bytes):
         prec, self.height, self.width, nf = struct.unpack(">BHHB", payload[:6])
-        assert prec == 8
+        if prec != 8:
+            raise ValueError(f"only 8-bit samples supported, got {prec}")
         self.comp_ids: list[int] = []
         self.qtab_ids: list[int] = []
         for c in range(nf):
             cid, hv, tq = payload[6 + 3 * c : 9 + 3 * c]
-            assert hv == 0x11, "only 4:4:4 (1x1 sampling) supported"
+            if hv != 0x11:
+                raise ValueError("only 4:4:4 (1x1 sampling) supported")
             self.comp_ids.append(cid)
             self.qtab_ids.append(tq)
         self.nby = -(-self.height // 8)
@@ -188,11 +191,12 @@ def _decode_scan(frame: _Frame, payload: bytes, entropy: bytes,
         dc_tabs.append(htables.get((0, tda >> 4)))
         ac_tabs.append(htables.get((1, tda & 0xF)))
     ss, se, _ = payload[1 + 2 * ns : 4 + 2 * ns]
+    if ss != 0 and ns != 1:
+        raise ValueError("progressive AC scans are single-component")
     try:
         if ss == 0:
             _interleaved_scan(entropy, frame.n_blocks, se, dc_tabs, ac_tabs, outs)
         else:
-            assert ns == 1, "progressive AC scans are single-component"
             _ac_band_scan(entropy, frame.n_blocks, ss, se, ac_tabs[0], outs[0])
     except EOFError:
         pass  # truncated final scan: keep what decoded so far
@@ -211,9 +215,11 @@ def decode_to_coeffs(data: bytes) -> CoeffImage:
         elif seg.marker in (markers.SOF0, markers.SOF2):
             frame = _Frame(seg.payload)
         elif seg.marker == markers.SOS:
-            assert frame is not None, "SOS before SOF"
+            if frame is None:
+                raise ValueError("SOS before SOF")
             _decode_scan(frame, seg.payload, seg.entropy, htables)
-    assert frame is not None, "no frame found"
+    if frame is None:
+        raise ValueError("no frame found")
     comps = [
         Component(frame.comp_ids[c], frame.qtab_ids[c], frame.coeffs[c],
                   frame.nby, frame.nbx)

@@ -44,8 +44,11 @@ class HuffmanTable:
     _look: "Lookahead" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(self.bits) == MAX_CODE_LEN
-        assert sum(self.bits) == len(self.values)
+        if len(self.bits) != MAX_CODE_LEN or sum(self.bits) != len(self.values):
+            raise ValueError(
+                f"Huffman table counts {self.bits} do not match "
+                f"{len(self.values)} symbols"
+            )
 
     def codes(self) -> list[tuple[int, int, int]]:
         """List of (symbol, code, length) in canonical order."""

@@ -18,7 +18,6 @@ SOF2 = 0xFFC2  # progressive
 DHT = 0xFFC4
 DQT = 0xFFDB
 APP0 = 0xFFE0
-COM = 0xFFFE
 
 _STANDALONE = {SOI, EOI}  # markers with no length field we ever emit
 
@@ -57,12 +56,14 @@ def parse(data: bytes) -> list[Segment]:
     A stream cut inside a marker segment ends before that segment, so a
     cut anywhere after a scan still yields every complete scan before it.
     """
-    assert data[:2] == struct.pack(">H", SOI), "not a JPEG (missing SOI)"
+    if data[:2] != struct.pack(">H", SOI):
+        raise ValueError("not a JPEG (missing SOI)")
     segs = [Segment(SOI, 0, 2, b"")]
     i = 2
     n = len(data)
     while i < n - 1:
-        assert data[i] == 0xFF, f"expected marker at offset {i}"
+        if data[i] != 0xFF:
+            raise ValueError(f"expected marker at offset {i}")
         marker = struct.unpack(">H", data[i : i + 2])[0]
         if marker == EOI:
             segs.append(Segment(EOI, i, i + 2, b""))
@@ -94,7 +95,8 @@ def scan_spans(data: bytes) -> tuple[tuple[int, int], list[tuple[int, int]]]:
     """
     segs = parse(data)
     sos_idx = [k for k, s in enumerate(segs) if s.marker == SOS]
-    assert sos_idx, "no SOS segment found"
+    if not sos_idx:
+        raise ValueError("no SOS segment found")
     spans = []
     for k in sos_idx:
         start_k = k

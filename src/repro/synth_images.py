@@ -50,11 +50,6 @@ SPECS: dict[str, DatasetSpec] = {
     "celeba_lite": DatasetSpec("celeba_lite", 288, 80, 2, 75, texture_band=1),
 }
 
-# Luma scan bands of the color script (zigzag coefficient ranges): band b
-# covers zigzag indices BAND_EDGES[b]..BAND_EDGES[b+1]-1.
-BAND_EDGES = [0, 1, 6, 14, 22, 31, 41, 52, 64]
-
-
 def _band_frequency(band: int, size: int) -> float:
     """A spatial frequency (cycles/pixel) that lands in DCT band ``band``.
 

@@ -14,12 +14,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import harness
-from repro.core.analysis import scan_size_stats
+from repro.core.analysis import scan_size_stats, speedup_table
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
-from repro.formats import tfrecord
-from repro.iosim.pipeline import epoch_time, time_to_accuracy
+from repro.iosim.pipeline import time_to_accuracy
 from repro.iosim.storage import MiB
-from repro.synth_images import SPECS, n_images
 from repro.train.autotune import autotune_train, static_train
 from repro.train.features import feature_mask
 from repro.train.gradsim import similarity_by_scan
@@ -87,20 +85,18 @@ def accuracy_curves(data: ScanData, seed: int = 0,
     }
 
 
-def seconds_per_epoch(spark: SparkSession, dataset: str, sf: float,
-                      model: str, bandwidth: float | None = None) -> dict[int, float]:
-    """Simulated cluster epoch time per scan group (Little's-law model)."""
-    out = harness.get_or_build(spark, dataset, sf)
-    meta = read_metadata(spark, out)
+def seconds_per_epoch(stats: pd.Series, model: str,
+                      bandwidth: float | None = None) -> pd.Series:
+    """Simulated cluster epoch time per config (``scan_1..scan_10``,
+    ``tfrecord``): the dataset's images over the Lemma A.4 rate.
+
+    ``stats`` is the dataset's ``scan_size_stats`` row; ``bandwidth``
+    defaults to ``harness.reference_bandwidth``.
+    """
     if bandwidth is None:
-        bandwidth = harness.reference_bandwidth(meta)
-    stats = scan_size_stats(meta).iloc[0]
-    n = n_images(SPECS[dataset], sf)
-    rate = harness.cluster_rate(model)
-    return {
-        g: epoch_time(n, bandwidth, float(stats[f"mean_cum_{g}"]), rate)
-        for g in range(1, 11)
-    }
+        bandwidth = harness.reference_bandwidth(stats)
+    rates = speedup_table(stats, harness.cluster_rate(model), bandwidth)
+    return stats["n_images"] / rates["predicted_rate"]
 
 
 def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
@@ -112,23 +108,26 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
 
     Target = ``target_frac`` x the scan-10 final accuracy of that model.
     """
+    out = harness.get_or_build(spark, dataset, sf)
+    stats = scan_size_stats(read_metadata(spark, out))
     rows = []
     for model in models:
         data = load_scan_data(spark, dataset, sf, scans, label_col, model)
         curves = accuracy_curves(data)
-        spe = seconds_per_epoch(spark, dataset, sf, model)
+        spe = seconds_per_epoch(stats, model)
         target = target_frac * curves[10][-1]
         for g in scans:
             accs = curves[g]
+            epoch_s = spe[f"scan_{g}"]
             rows.append(
                 {
                     "dataset": dataset,
                     "model": model,
                     "scan": g,
                     "final_acc": accs[-1],
-                    "epoch_s": spe[g],
-                    "total_time_s": EPOCHS * spe[g],
-                    "time_to_target_s": time_to_accuracy(accs, target, spe[g]),
+                    "epoch_s": epoch_s,
+                    "total_time_s": EPOCHS * epoch_s,
+                    "time_to_target_s": time_to_accuracy(accs, target, epoch_s),
                 }
             )
     return pd.DataFrame(rows)
@@ -175,7 +174,8 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
     per-epoch scan choice prices each epoch at that scan's I/O time.
     """
     data = load_scan_data(spark, dataset, sf, DEFAULT_SCANS, model=model)
-    spe = seconds_per_epoch(spark, dataset, sf, model)
+    out = harness.get_or_build(spark, dataset, sf)
+    spe = seconds_per_epoch(scan_size_stats(read_metadata(spark, out)), model)
     res = autotune_train(
         data.X_by_scan, data.y, data.Xte_by_scan[10], data.yte,
         data.n_classes, epochs=epochs, threshold=threshold,
@@ -186,7 +186,7 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
         {
             "config": f"autotune(thr={threshold})",
             "final_acc": res.acc_per_epoch[-1],
-            "total_time_s": sum(spe[g] for g in res.scan_per_epoch),
+            "total_time_s": sum(spe[f"scan_{g}"] for g in res.scan_per_epoch),
             "scans_used": "->".join(
                 str(g) for g in dict.fromkeys(res.scan_per_epoch)
             ),
@@ -201,25 +201,16 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
             {
                 "config": f"static scan {g}",
                 "final_acc": accs[-1],
-                "total_time_s": epochs * spe[g],
+                "total_time_s": epochs * spe[f"scan_{g}"],
                 "scans_used": str(g),
             }
         )
     # TFRecord baseline: scan-10 accuracy at baseline mean size.
-    out = harness.get_or_build(spark, dataset, sf)
-    meta = read_metadata(spark, out)
-    stats = scan_size_stats(meta).iloc[0]
-    W = harness.reference_bandwidth(meta)
-    tf_epoch = epoch_time(
-        n_images(SPECS[dataset], sf), W,
-        float(stats["mean_baseline"]) + tfrecord.RECORD_OVERHEAD,
-        harness.cluster_rate(model),
-    )
     rows.append(
         {
             "config": "tfrecord",
             "final_acc": rows[2]["final_acc"],
-            "total_time_s": epochs * tf_epoch,
+            "total_time_s": epochs * spe["tfrecord"],
             "scans_used": "baseline",
         }
     )
@@ -239,8 +230,8 @@ def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
     cluster; same relative range).
     """
     out = harness.get_or_build(spark, dataset, sf)
-    meta = read_metadata(spark, out)
-    W_ref = harness.reference_bandwidth(meta)
+    stats = scan_size_stats(read_metadata(spark, out))
+    W_ref = harness.reference_bandwidth(stats)
     rows = []
     for model in models:
         data = load_scan_data(spark, dataset, sf, scans, model=model)
@@ -248,7 +239,7 @@ def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
         target = target_frac * curves[10][-1]
         for frac in bandwidth_fracs:
             W = frac * W_ref
-            spe = seconds_per_epoch(spark, dataset, sf, model, bandwidth=W)
+            spe = seconds_per_epoch(stats, model, bandwidth=W)
             for g in scans:
                 rows.append(
                     {
@@ -256,7 +247,7 @@ def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
                         "bandwidth_MiB_s": W / MiB,
                         "scan": g,
                         "time_to_target_s": time_to_accuracy(
-                            curves[g], target, spe[g]
+                            curves[g], target, spe[f"scan_{g}"]
                         ),
                         "final_acc": curves[g][-1],
                     }

@@ -10,8 +10,8 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core import analysis, harness, pcr
 from repro.core import experiments as cx
-from repro.core import harness, pcr
 from repro.core.dataset import read_metadata, record_paths
 from repro.train import experiments as tx
 
@@ -23,13 +23,43 @@ def _patch_harness(monkeypatch, name, out_dir):
     )
 
 
-def test_seconds_per_epoch_monotone(spark, celeba_dir, monkeypatch):
-    _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    spe = tx.seconds_per_epoch(spark, "celeba_lite", 0.25, "resnet_lite")
-    times = [spe[g] for g in range(1, 11)]
+def test_seconds_per_epoch_monotone(spark, celeba_dir):
+    stats = analysis.scan_size_stats(read_metadata(spark, celeba_dir))
+    spe = tx.seconds_per_epoch(stats, "resnet_lite")
+    times = [spe[f"scan_{g}"] for g in range(1, 11)]
     assert times == sorted(times)
     # Scan 10 is IO bound by 2x in the reference regime.
     assert times[-1] > 1.5 * times[0]
+
+
+def test_each_figure_aggregates_its_dataset_once(spark, celeba_dir, monkeypatch):
+    # Figs 5/7/14/16 run the sidecar's mean aggregation once per call
+    # and price every scan group and model from that one row.
+    _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
+    calls = []
+    real = analysis.scan_size_stats
+
+    def counting(meta):
+        calls.append(meta)
+        return real(meta)
+
+    for mod in (analysis, harness, cx, tx):
+        if hasattr(mod, "scan_size_stats"):
+            monkeypatch.setattr(mod, "scan_size_stats", counting)
+    figs = {
+        "fig5": lambda: cx.fig5_throughput(spark, "celeba_lite", 0.25),
+        "fig7": lambda: tx.fig7_time_to_accuracy(spark, "celeba_lite", 0.25,
+                                                 scans=(1, 10)),
+        "fig14": lambda: tx.fig14_autotune(spark, "celeba_lite", 0.25,
+                                           epochs=6, tune_every=2),
+        "fig16": lambda: tx.fig16_bandwidth_sweep(
+            spark, "celeba_lite", 0.25, bandwidth_fracs=(0.1, 2.0),
+            scans=(1, 10)),
+    }
+    for name, run in figs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
 
 
 def test_load_scan_data_shapes(spark, celeba_dir, monkeypatch):

@@ -17,10 +17,15 @@ def test_cluster_rate_uses_paper_constants():
 
 def test_reference_bandwidth_regime(spark, celeba_dir):
     """W is chosen so full fidelity is I/O bound at half the compute rate."""
-    meta = read_metadata(spark, celeba_dir)
-    W = harness.reference_bandwidth(meta)
-    mean_full = float(scan_size_stats(meta).iloc[0]["mean_cum_10"])
+    stats = scan_size_stats(read_metadata(spark, celeba_dir))
+    W = harness.reference_bandwidth(stats)
+    mean_full = float(stats["mean_cum_10"])
     assert W / mean_full == pytest.approx(0.5 * harness.cluster_rate("resnet_lite"))
+
+
+def test_job_spark_hides_console_progress(spark):
+    """Job output holds the report, not stage progress bars."""
+    assert spark.conf.get("spark.ui.showConsoleProgress") == "false"
 
 
 def test_dataset_dir_respects_env(monkeypatch, tmp_path):

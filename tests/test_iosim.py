@@ -9,8 +9,6 @@ import pytest
 from repro.iosim.pipeline import (
     MODEL_RATES,
     data_throughput,
-    epoch_time,
-    max_speedup,
     simulate_training,
     system_throughput,
     time_to_accuracy,
@@ -27,14 +25,9 @@ def test_system_throughput_min_rule():
     assert system_throughput(1e6, 100_000, 450) == 10  # data bound
 
 
-def test_max_speedup_is_size_ratio():
-    # Paper Table 1: ImageNet scan 5 is 2x smaller -> 2x speedup.
-    assert max_speedup(110_000, 55_000) == pytest.approx(2.0)
-
-
 def test_epoch_time_scales_inverse_with_bandwidth_when_io_bound():
-    t1 = epoch_time(1000, 10 * MiB, 100_000, compute_rate=1e9)
-    t2 = epoch_time(1000, 20 * MiB, 100_000, compute_rate=1e9)
+    t1 = 1000 / system_throughput(10 * MiB, 100_000, compute_rate=1e9)
+    t2 = 1000 / system_throughput(20 * MiB, 100_000, compute_rate=1e9)
     assert t1 / t2 == pytest.approx(2.0)
 
 
@@ -82,7 +75,7 @@ def test_simulation_speedup_proportional_to_data_reduction():
 def test_storage_model_fpi_much_slower_than_records():
     # Paper §6.2: File-per-Image is ~25x slower than record layouts.
     s = StorageModel(bandwidth=200 * MiB, seek_latency=0.008)
-    rec = s.record_epoch_time(100_000, 7_000, images_per_record=1000)
+    rec = s.read_time(100_000 * 7_000, n_seeks=100)  # 1000-image records
     f = s.fpi_epoch_time(100_000, 7_000)
     assert f / rec > 10
 

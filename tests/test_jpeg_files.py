@@ -192,6 +192,49 @@ def test_eoi_termination_trick():
     decode(t)
 
 
+def _segment(data, marker):
+    return next(s for s in markers.parse(data) if s.marker == marker)
+
+
+def _set_byte(data, pos, value):
+    return data[:pos] + bytes([value]) + data[pos + 1 :]
+
+
+def _cut_segment(data, marker):
+    s = _segment(data, marker)
+    return data[: s.offset] + data[s.end :]
+
+
+# Damaged headers of a 3-component progressive file, keyed by the error
+# each raises. A segment's payload starts 4 bytes after its marker.
+_DAMAGED = {
+    "missing SOI": lambda p: p[2:],
+    "expected marker at offset 2": lambda p: _set_byte(p, 2, 0x00),
+    "only 8-bit samples": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 4, 12),
+    "1x1 sampling": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 11, 0x22),
+    "only 8-bit quant tables": lambda p: _set_byte(p, _segment(p, markers.DQT).offset + 4, 0x10),
+    "SOS before SOF": lambda p: _cut_segment(p, markers.SOF2),
+    "no frame found": lambda p: p[: _segment(p, markers.SOF2).offset] + markers.EOI_BYTES,
+    # Ss = 1 on the 3-component DC scan.
+    "single-component": lambda p: _set_byte(p, _segment(p, markers.SOS).offset + 11, 1),
+    # 200 more 16-bit codes than the DHT payload holds symbols for.
+    "do not match": lambda p: _set_byte(p, _segment(p, markers.DHT).offset + 20, 200),
+}
+
+
+@pytest.mark.parametrize("message", list(_DAMAGED))
+def test_damaged_header_raises_value_error(color_pair, message):
+    # ValueError, not assert: the checks hold under ``python -O`` too.
+    with pytest.raises(ValueError, match=message):
+        decode(_DAMAGED[message](color_pair[2]))
+
+
+def test_scan_spans_without_a_scan_raises_value_error(color_pair):
+    p = color_pair[2]
+    with pytest.raises(ValueError, match="no SOS segment"):
+        scan_spans(p[: _segment(p, markers.SOS).offset] + markers.EOI_BYTES)
+
+
 def _celeba_pair(i):
     spec = SPECS["celeba_lite"]
     b = encode_baseline(generate_image(spec, i)[0], spec.quality)

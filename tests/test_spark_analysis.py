@@ -1,4 +1,5 @@
 """Tests for the analysis module (Table 1 / Fig 5 / Fig 8 machinery)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -10,6 +11,7 @@ from repro.core.analysis import (
     with_cumulative,
 )
 from repro.core.dataset import read_metadata
+from repro.formats.tfrecord import RECORD_OVERHEAD
 from repro.iosim.storage import MiB
 from repro.jpeg import N_SCANS
 from repro.oracle import assert_equivalent
@@ -46,7 +48,7 @@ def test_full_cumulative_accounts_whole_progressive_file(spark, celeba_dir):
 
 
 def test_size_reduction_table_shape(spark, celeba_dir):
-    row = size_reduction_table(read_metadata(spark, celeba_dir))
+    row = size_reduction_table(scan_size_stats(read_metadata(spark, celeba_dir)))
     assert row["scan_10"] == pytest.approx(1.0)
     assert row["scan_1"] > row["scan_2"] > row["scan_5"] > 1.0
     assert row["mean_size_bytes"] > 0
@@ -65,17 +67,19 @@ def test_scan_size_stats_oracle(spark, celeba_dir):
 
 
 def test_speedup_table_min_rule(spark, celeba_dir):
-    meta = read_metadata(spark, celeba_dir)
-    t = speedup_table(meta, compute_rate=450.0, bandwidth=1 * MiB)
-    assert t["scan"].tolist() == list(range(1, N_SCANS + 1))
+    stats = scan_size_stats(read_metadata(spark, celeba_dir))
+    t = speedup_table(stats, compute_rate=450.0, bandwidth=1 * MiB)
+    scans = [f"scan_{g}" for g in range(1, N_SCANS + 1)]
+    assert t.index.tolist() == scans + ["tfrecord"]
     assert (t["predicted_rate"] <= 450.0 + 1e-9).all()
     # Lower scans -> higher predicted rate while IO bound.
-    assert t.sort_values("scan")["predicted_rate"].is_monotonic_decreasing
+    assert t.loc[scans, "predicted_rate"].is_monotonic_decreasing
+    assert t.loc["tfrecord", "mean_bytes"] == stats["mean_baseline"] + RECORD_OVERHEAD
 
 
 def test_speedup_table_compute_bound_saturates(spark, celeba_dir):
-    meta = read_metadata(spark, celeba_dir)
-    t = speedup_table(meta, compute_rate=450.0, bandwidth=10_000 * MiB)
+    stats = scan_size_stats(read_metadata(spark, celeba_dir))
+    t = speedup_table(stats, compute_rate=450.0, bandwidth=10_000 * MiB)
     assert t["predicted_rate"].to_numpy() == pytest.approx(450.0)
 
 
@@ -86,7 +90,21 @@ def test_scan_size_distribution_monotone_medians(spark, celeba_dir):
     assert (d["p25"] <= d["p75"]).all()
 
 
+def test_scan_size_distribution_matches_per_scan_quantiles(spark, celeba_dir):
+    # The one-aggregation distribution equals one percentile_approx
+    # select per scan, values and dtypes.
+    meta = read_metadata(spark, celeba_dir)
+    cum = with_cumulative(meta)
+    rows = []
+    for g in range(1, N_SCANS + 1):
+        q = cum.select(
+            F.percentile_approx(f"cum_{g}_bytes", [0.25, 0.5, 0.75])
+        ).collect()[0][0]
+        rows.append({"scan": g, "p25": q[0], "p50": q[1], "p75": q[2]})
+    pd.testing.assert_frame_equal(scan_size_distribution(meta), pd.DataFrame(rows))
+
+
 def test_stats_single_row(spark, celeba_dir):
     s = scan_size_stats(read_metadata(spark, celeba_dir))
-    assert len(s) == 1
-    assert s.iloc[0]["n_images"] > 0
+    assert isinstance(s, pd.Series)
+    assert s["n_images"] > 0
