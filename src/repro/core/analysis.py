@@ -16,6 +16,9 @@ from repro.formats import tfrecord
 from repro.iosim.pipeline import system_throughput
 from repro.jpeg import N_SCANS
 
+# The scan groups the paper's tables and training figures report.
+TABLE_SCANS = (1, 2, 5, 10)
+
 
 def with_cumulative(meta: DataFrame) -> DataFrame:
     """Add ``cum_g_bytes`` columns: bytes read per image at fidelity g."""
@@ -40,7 +43,7 @@ def scan_size_stats(meta: DataFrame) -> pd.Series:
     return cum.agg(*aggs).toPandas().iloc[0]
 
 
-def size_reduction_table(stats: pd.Series, scans=(1, 2, 5, 10)) -> dict:
+def size_reduction_table(stats: pd.Series, scans=TABLE_SCANS) -> dict:
     """One Table-1 row: reduction factor per scan + mean image size.
 
     Reduction factor for scan g = mean full-fidelity bytes / mean bytes

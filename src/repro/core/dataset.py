@@ -1,29 +1,29 @@
 """Spark pipelines: dataset -> PCR directory, PCR directory -> features.
 
-Encoding (paper §5 "Encoding"): a Spark job partitions the image id
-space into records (one partition per record), and each executor task
-generates its partition's images, quantizes each once with ``forward``
-and entropy-codes those coefficients twice: as progressive JPEG into
-one ``.pcr`` file and as baseline JPEG into a ``.tfrec`` twin for
-comparisons. The progressive bytes are exactly what the paper's lossless
-baseline -> progressive transcode of the twin gives (Fig 22 re-checks
-this). Per-image metadata — labels, task-label remappings, per-scan
-byte sizes — comes back as a DataFrame and is persisted to a parquet
-sidecar, playing the paper's SQLite/RocksDB metadata role.
+Every record-parallel stage is an ``fn(r)`` run by ``map_records``, one
+Spark task per record r. Record r of k holds images r*n//k to (r+1)*n//k.
 
-Decoding (paper §5 "Decoding"/"Loader"): ``load_features`` is one map
-stage with one partition per record; each task does its record's single
-prefix read at the requested scan group, decodes each image and extracts
-model features. ``collect_features`` attaches the sidecar's task labels
-and split on the driver — the variable-fidelity read path this
-reproduction is about.
+Encoding (paper §5 "Encoding"): record r's task generates its images,
+quantizes each once with ``forward`` and entropy-codes those
+coefficients twice: as progressive JPEG into one ``.pcr`` file and as
+baseline JPEG into a ``.tfrec`` twin for comparisons. The progressive
+bytes are exactly what the paper's lossless baseline -> progressive
+transcode of the twin gives (Fig 22 re-checks this). Per-image metadata
+— labels, task-label remappings, per-scan byte sizes — comes back as a
+DataFrame and is persisted to a parquet sidecar, playing the paper's
+SQLite/RocksDB metadata role.
+
+Decoding (paper §5 "Decoding"/"Loader"): in ``load_features`` record r's
+task does its single prefix read at the requested scan group, decodes
+each image and extracts model features. ``collect_features`` attaches
+the sidecar's task labels and split on the driver — the
+variable-fidelity read path this reproduction is about.
 """
 import os
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -61,94 +61,90 @@ def tfrecord_path(pcr_path: str) -> str:
     return os.path.splitext(pcr_path)[0] + ".tfrec"
 
 
+def metadata_path(out_dir: str) -> str:
+    """The parquet sidecar of the dataset under ``out_dir``."""
+    return os.path.join(out_dir, "metadata.parquet")
+
+
+def map_records(spark: SparkSession, n_records: int,
+                fn: Callable[[int], pd.DataFrame], schema: str) -> DataFrame:
+    """One Spark task per record index ``r`` in ``range(n_records)``, which
+    yields ``fn(r)``: a pandas frame of record ``r``'s rows, in order, with
+    no shuffle. Which task handles which records is decided here alone."""
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for b in batches:
+            for r in b["id"]:
+                yield fn(int(r))
+
+    ids = spark.range(0, n_records, numPartitions=n_records)
+    return ids.mapInPandas(run, schema=schema)
+
+
 def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
                       sf: float = 1.0) -> None:
     """Encode a synthetic dataset into PCR + TFRecord files under ``out_dir``.
 
-    One record per Spark partition. Writes the per-image metadata to
-    ``out_dir/metadata.parquet``.
+    Record ``r`` of ``k`` holds images ``r*n//k`` up to ``(r+1)*n//k`` and
+    is written as ``record_{r:04d}.pcr`` (+ ``.tfrec``) by one Spark task.
+    Writes the per-image metadata to ``metadata_path(out_dir)``.
     """
     spec = synth_images.SPECS[name]
     n = synth_images.n_images(spec, sf)
     n_records = -(-n // spec.images_per_record)
     os.makedirs(out_dir, exist_ok=True)
 
-    ids = spark.range(0, n, numPartitions=n_records)
-
-    def encode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idxs = [int(i) for b in batches for i in b["id"]]
-        if not idxs:
-            return
-        pid = TaskContext.get().partitionId()
-        labels, baselines, progressives = [], [], []
+    def encode_record(r: int) -> pd.DataFrame:
+        idxs = range(r * n // n_records, (r + 1) * n // n_records)
+        labs, baselines, progressives = [], [], []
         for i in idxs:
             img, lab = synth_images.generate_image(spec, i)
             ci = forward(img, spec.quality)
-            labels.append(lab)
+            labs.append(lab)
             baselines.append(encode_baseline_from_coeffs(ci))
             progressives.append(encode_progressive_from_coeffs(ci))
-        rec_path = os.path.join(out_dir, f"record_{pid:04d}.pcr")
-        info = pcr.write_pcr(
-            rec_path, list(zip(progressives, (l["label"] for l in labels)))
-        )
-        tfrecord.write_tfrecord(
-            tfrecord_path(rec_path),
-            list(zip(baselines, (l["label"] for l in labels))),
-        )
-        rows = []
-        for pos, (i, lab) in enumerate(zip(idxs, labels)):
-            row = {
-                "record": rec_path,
-                "pos": pos,
-                "idx": i,
-                "label": lab["label"],
-                "make": lab["make"],
-                "is_zero": lab["is_zero"],
-                "is_test": synth_images.is_test(i),
-                "baseline_bytes": len(baselines[pos]),
-                "progressive_bytes": len(progressives[pos]),
-                "header_bytes": info.header_lens[pos],
-            }
-            for g in range(1, N_SCANS + 1):
-                row[f"scan_{g}_bytes"] = info.scan_lens[g - 1][pos]
-            rows.append(row)
-        yield pd.DataFrame(rows)
+        rec_path = os.path.join(out_dir, f"record_{r:04d}.pcr")
+        labels = [lab["label"] for lab in labs]
+        info = pcr.write_pcr(rec_path, list(zip(progressives, labels)))
+        tfrecord.write_tfrecord(tfrecord_path(rec_path),
+                                list(zip(baselines, labels)))
+        return pd.DataFrame({
+            "record": rec_path,
+            "pos": range(len(idxs)),
+            "idx": idxs,
+            **{k: [lab[k] for lab in labs] for k in ("label", "make", "is_zero")},
+            "is_test": [synth_images.is_test(i) for i in idxs],
+            "baseline_bytes": [len(b) for b in baselines],
+            "progressive_bytes": [len(p) for p in progressives],
+            "header_bytes": info.header_lens,
+            **{f"scan_{g}_bytes": lens for g, lens in enumerate(info.scan_lens, 1)},
+        })
 
-    meta = ids.mapInPandas(encode_partition, schema=_META_SCHEMA)
-    meta.write.mode("overwrite").parquet(os.path.join(out_dir, "metadata.parquet"))
+    meta = map_records(spark, n_records, encode_record, _META_SCHEMA)
+    meta.write.mode("overwrite").parquet(metadata_path(out_dir))
 
 
 def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
-    return spark.read.parquet(os.path.join(out_dir, "metadata.parquet"))
+    return spark.read.parquet(metadata_path(out_dir))
 
 
 def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFrame:
     """Decode a dataset's PCRs at a scan group and extract features, in Spark.
 
-    One partition per record file, so one task does each record's single
+    One task per record file (``map_records``) does the record's single
     prefix read at ``scan_group``. Rows come out in (record, pos) order.
     """
     paths = record_paths(out_dir)
 
-    def decode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for b in batches:
-            for i in b["id"]:
-                path = paths[i]
-                rows = []
-                for pos, (label, jpeg) in enumerate(pcr.read_pcr(path, scan_group)):
-                    img = decode(jpeg)
-                    rows.append(
-                        {
-                            "record": path,
-                            "pos": pos,
-                            "label": int(label),
-                            "features": extract_features(img).tolist(),
-                        }
-                    )
-                yield pd.DataFrame(rows)
+    def decode_record(r: int) -> pd.DataFrame:
+        items = pcr.read_pcr(paths[r], scan_group)
+        return pd.DataFrame({
+            "record": paths[r],
+            "pos": range(len(items)),
+            "label": [label for label, _ in items],
+            "features": [extract_features(decode(j)).tolist() for _, j in items],
+        })
 
-    ids = spark.range(0, len(paths), numPartitions=len(paths))
-    return ids.mapInPandas(decode_partition, schema=_FEAT_SCHEMA)
+    return map_records(spark, len(paths), decode_record, _FEAT_SCHEMA)
 
 
 def collect_features(spark: SparkSession, out_dir: str,
@@ -161,7 +157,7 @@ def collect_features(spark: SparkSession, out_dir: str,
     """
     feats = load_features(spark, out_dir, scan_group).toPandas()
     meta = pd.read_parquet(
-        os.path.join(out_dir, "metadata.parquet"),
+        metadata_path(out_dir),
         columns=["record", "pos", "idx", "make", "is_zero", "is_test"],
     )
     pdf = feats.merge(meta, on=["record", "pos"], validate="one_to_one")

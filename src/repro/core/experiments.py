@@ -5,10 +5,12 @@ cell-group, ready for ``harness.fmt_table``. Training-side experiments
 live in ``repro.train.experiments``.
 """
 import filecmp
+import functools
 import os
+import statistics
 import tempfile
 import time
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -17,13 +19,14 @@ from pyspark.sql import functions as F
 
 from repro.core import harness, pcr
 from repro.core.analysis import (
+    TABLE_SCANS,
     scan_size_distribution,
     scan_size_stats,
     size_reduction_table,
     speedup_table,
 )
-from repro.core.dataset import (dataset_summary, read_metadata, record_paths,
-                                tfrecord_path)
+from repro.core.dataset import (dataset_summary, map_records, read_metadata,
+                                record_paths, tfrecord_path)
 from repro.formats import tfrecord
 from repro.iosim.pipeline import simulate_training
 from repro.iosim.storage import MiB, StorageModel
@@ -32,7 +35,28 @@ from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS
 
 ALL_DATASETS = list(SPECS)
-TABLE_SCANS = (1, 2, 5, 10)
+TIMED_PASSES = 5  # timed passes per wall-clock cell; the cell is their median
+DECODE_IMAGES = 24  # images of each dataset's first record Table 2 decodes
+MSSIM_IMAGES = 12  # images of each dataset's first record Fig 13 scores
+STATIC_QUALITIES = (50, 75, 90, 95)  # Fig 22's static re-encode qualities
+
+
+def median_rates(passes: dict[str, Callable[[], int]]) -> dict[str, float]:
+    """Items/s of each pass, a call that processes and returns a fixed
+    number of items: one untimed warm-up call of each, then that number
+    over the median time of its ``TIMED_PASSES`` timed calls. The timed
+    calls go round-robin, so every pass is timed across the same window
+    and a drift in host speed moves all of them alike."""
+    for one_pass in passes.values():
+        one_pass()
+    times: dict[str, list[float]] = {key: [] for key in passes}
+    items = {}
+    for _ in range(TIMED_PASSES):
+        for key, one_pass in passes.items():
+            t0 = time.perf_counter()
+            items[key] = one_pass()
+            times[key].append(time.perf_counter() - t0)
+    return {key: items[key] / statistics.median(times[key]) for key in passes}
 
 
 def table1_size_reduction(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
@@ -40,42 +64,35 @@ def table1_size_reduction(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     rows = []
     for name in ALL_DATASETS:
         meta = read_metadata(spark, harness.get_or_build(spark, name, sf))
-        r = size_reduction_table(scan_size_stats(meta), scans=TABLE_SCANS)
+        r = size_reduction_table(scan_size_stats(meta))
         rows.append({"dataset": name, **r})
     return pd.DataFrame(rows)
 
 
-def table2_decode_rates(spark: SparkSession, sf: float = 1.0,
-                        n_images: int = 24, reps: int = 2) -> pd.DataFrame:
+def _decode_all(jpegs: list[bytes]) -> int:
+    for j in jpegs:
+        decode(j)
+    return len(jpegs)
+
+
+def table2_decode_rates(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     """Paper Table 2: single-core decode rate (images/s) per encoding.
 
     Decodes run in a plain driver-side loop — single core by
-    construction, as in the paper's microbenchmark.
+    construction, as in the paper's microbenchmark. A row's cells are the
+    ``median_rates`` of decoding the first record's first
+    ``DECODE_IMAGES`` images in each encoding.
     """
     rows = []
     for name in ALL_DATASETS:
-        out = harness.get_or_build(spark, name, sf)
-        paths = record_paths(out)
-        per_scan = {}
-        variants: dict[str, list[bytes]] = {}
-        for g in TABLE_SCANS:
-            variants[f"scan_{g}"] = [
-                j for _, j in pcr.read_pcr(paths[0], g)[:n_images]
-            ]
-        variants["baseline"] = [
-            j for _, j in tfrecord.read_tfrecord(tfrecord_path(paths[0]))[:n_images]
-        ]
-        for key, datas in variants.items():
-            for d in datas:
-                decode(d)  # warmup (numpy/LUT caches)
-            t0 = time.perf_counter()
-            n = 0
-            for _ in range(reps):
-                for d in datas:
-                    decode(d)
-                    n += 1
-            per_scan[key] = n / (time.perf_counter() - t0)
-        rows.append({"dataset": name, **{k: round(v, 1) for k, v in per_scan.items()}})
+        path = record_paths(harness.get_or_build(spark, name, sf))[0]
+        variants = {f"scan_{g}": pcr.read_pcr(path, g) for g in TABLE_SCANS}
+        variants["baseline"] = tfrecord.read_tfrecord(tfrecord_path(path))
+        rates = median_rates({
+            key: functools.partial(_decode_all, [j for _, j in items[:DECODE_IMAGES]])
+            for key, items in variants.items()
+        })
+        rows.append({"dataset": name, **{k: round(v, 1) for k, v in rates.items()}})
     return pd.DataFrame(rows)
 
 
@@ -95,7 +112,7 @@ def fig5_throughput(spark: SparkSession, dataset: str = "imagenet_lite",
     event-simulated, plus the TFRecord baseline row."""
     out = harness.get_or_build(spark, dataset, sf)
     stats = scan_size_stats(read_metadata(spark, out))
-    W = harness.reference_bandwidth(stats, "resnet_lite")
+    W = harness.reference_bandwidth(stats)
     rate = harness.cluster_rate(model)
     df = speedup_table(stats, compute_rate=rate, bandwidth=W).reset_index()
     df["simulated_rate"] = [
@@ -121,17 +138,17 @@ def fig8_scan_sizes(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
-def fig13_mssim(spark: SparkSession, sf: float = 1.0,
-                n_images: int = 12) -> pd.DataFrame:
-    """Fig 13/23: mean MSSIM of each scan group vs full fidelity."""
+def fig13_mssim(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
+    """Fig 13/23: mean MSSIM of each scan group vs full fidelity, over
+    the first ``MSSIM_IMAGES`` images of each dataset's first record."""
     rows = []
     for name in ALL_DATASETS:
         out = harness.get_or_build(spark, name, sf)
         path = record_paths(out)[0]
-        full = [decode(j) for _, j in pcr.read_pcr(path, N_SCANS)[:n_images]]
+        full = [decode(j) for _, j in pcr.read_pcr(path, N_SCANS)[:MSSIM_IMAGES]]
         row = {"dataset": name}
         for g in TABLE_SCANS:
-            part = [decode(j) for _, j in pcr.read_pcr(path, g)[:n_images]]
+            part = [decode(j) for _, j in pcr.read_pcr(path, g)[:MSSIM_IMAGES]]
             row[f"scan_{g}"] = float(
                 np.mean([msssim(p, f) for p, f in zip(part, full)])
             )
@@ -139,18 +156,17 @@ def fig13_mssim(spark: SparkSession, sf: float = 1.0,
     return pd.DataFrame(rows)
 
 
-def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
-                         qualities=(50, 75, 90, 95)) -> pd.DataFrame:
+def fig22_encoding_times(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     """Fig 22/§A.4: PCR conversion time vs re-encoding at static qualities.
 
-    One Spark task per record reads the record's baseline TFRecord twin
-    and times, on those images, the paper's PCR conversion (the lossless
-    baseline -> progressive transcode of every image, then writing the
-    PCR file) and the decode + re-encode at each static quality q, the
-    multi-fidelity alternative the paper compares against. Both run in
-    the same task, so under the same load. The converted file must equal
-    the stored ``.pcr`` byte for byte, else the task raises. Sizes show
-    the space amplification story.
+    One Spark task per record (``map_records``) reads the record's
+    baseline TFRecord twin and times, on those images, the paper's PCR
+    conversion (the lossless baseline -> progressive transcode of every
+    image, then writing the PCR file) and the decode + re-encode at each
+    of the ``STATIC_QUALITIES``, the multi-fidelity alternative the paper
+    compares against. Both run in the same task, so under the same load.
+    The converted file must equal the stored ``.pcr`` byte for byte, else
+    the task raises. Sizes show the space amplification story.
     """
     rows = []
     for name in ALL_DATASETS:
@@ -160,40 +176,31 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
         pcr_bytes = sum(os.path.getsize(p) for p in paths)
         base_bytes = meta.agg(F.sum("baseline_bytes")).collect()[0][0]
 
-        df = spark.range(0, len(paths), numPartitions=len(paths))
-
-        def reencode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            for b in batches:
-                for i in b["id"]:
-                    items = tfrecord.read_tfrecord(tfrecord_path(paths[i]))
-                    # q is null on the PCR conversion's row.
-                    with tempfile.TemporaryDirectory() as tmp:
-                        converted = os.path.join(tmp, "converted.pcr")
-                        t0 = time.perf_counter()
-                        pcr.write_pcr(converted, [
-                            (baseline_to_progressive(jpeg), label)
-                            for label, jpeg in items
-                        ])
-                        outrows = [{"q": None, "seconds": time.perf_counter() - t0,
-                                    "bytes": os.path.getsize(converted)}]
-                        if not filecmp.cmp(converted, paths[i], shallow=False):
-                            raise ValueError(
-                                f"{paths[i]} differs from the PCR conversion "
-                                "of its baseline TFRecord twin")
-                    for q in qualities:
-                        t0 = time.perf_counter()
-                        nbytes = 0
-                        for _, jpeg in items:
-                            img = decode(jpeg)
-                            nbytes += len(encode_baseline(img, q))
-                        outrows.append(
-                            {"q": q, "seconds": time.perf_counter() - t0,
-                             "bytes": nbytes}
-                        )
-                    yield pd.DataFrame(outrows)
+        def time_record(r: int) -> pd.DataFrame:
+            items = tfrecord.read_tfrecord(tfrecord_path(paths[r]))
+            with tempfile.TemporaryDirectory() as tmp:
+                converted = os.path.join(tmp, "converted.pcr")
+                t0 = time.perf_counter()
+                pcr.write_pcr(converted, [
+                    (baseline_to_progressive(jpeg), label) for label, jpeg in items
+                ])
+                seconds = [time.perf_counter() - t0]
+                nbytes = [os.path.getsize(converted)]
+                if not filecmp.cmp(converted, paths[r], shallow=False):
+                    raise ValueError(f"{paths[r]} differs from the PCR conversion "
+                                     "of its baseline TFRecord twin")
+            for q in STATIC_QUALITIES:
+                t0 = time.perf_counter()
+                nbytes.append(sum(len(encode_baseline(decode(jpeg), q))
+                                  for _, jpeg in items))
+                seconds.append(time.perf_counter() - t0)
+            # q is null on the PCR conversion's row.
+            return pd.DataFrame({"q": [None, *STATIC_QUALITIES],
+                                 "seconds": seconds, "bytes": nbytes})
 
         times = (
-            df.mapInPandas(reencode, schema="q int, seconds double, bytes long")
+            map_records(spark, len(paths), time_record,
+                        "q int, seconds double, bytes long")
             .groupBy("q")
             .agg(F.sum("seconds").alias("seconds"), F.sum("bytes").alias("bytes"))
             .toPandas()
@@ -219,50 +226,48 @@ def fig22_encoding_times(spark: SparkSession, sf: float = 1.0,
     return pd.DataFrame(rows)
 
 
+def _read_pcrs(paths: list[str], g: int) -> int:
+    return sum(len(pcr.read_pcr(p, g)) for p in paths)
+
+
 def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
-                 sf: float = 1.0, reps: int = 3) -> pd.DataFrame:
+                 sf: float = 1.0) -> pd.DataFrame:
     """Fig 24 + §6.2 FPI claim: reader throughput per scan.
 
-    'measured' columns are wall-clock PCR prefix reads + reassembly (no
-    decode), like the paper's reader microbenchmark; 'modeled' columns
-    run the storage cost model, which also prices the File-per-Image
-    layout (per-image seeks).
+    'measured' columns are the ``median_rates`` of wall-clock passes of
+    PCR prefix reads + reassembly (no decode) or TFRecord reads over every
+    record, like the paper's reader microbenchmark; 'modeled' columns run
+    the storage cost model, which also prices the File-per-Image layout
+    (per-image seeks).
     """
     out = harness.get_or_build(spark, dataset, sf)
     paths = record_paths(out)
     stats = scan_size_stats(read_metadata(spark, out))
     n_img = sum(pcr.read_index(p).n_images for p in paths)
     storage = StorageModel()
+    measured = median_rates({
+        **{f"scan_{g}": functools.partial(_read_pcrs, paths, g) for g in TABLE_SCANS},
+        "tfrecord": lambda: sum(len(tfrecord.read_tfrecord(tfrecord_path(p)))
+                                for p in paths),
+    })
     rows = []
     for g in TABLE_SCANS:
-        t0 = time.perf_counter()
-        n = 0
-        for _ in range(reps):
-            for p in paths:
-                n += len(pcr.read_pcr(p, g))
-        measured = n / (time.perf_counter() - t0)
         nbytes = sum(pcr.read_index(p).prefix_bytes(g) for p in paths)
         modeled = n_img / storage.read_time(nbytes, n_seeks=len(paths))
         rows.append(
             {
                 "config": f"scan_{g}",
-                "measured_img_s": measured,
+                "measured_img_s": measured[f"scan_{g}"],
                 "modeled_img_s": modeled,
                 "bytes_per_img": nbytes / n_img,
             }
         )
     # TFRecord full read.
-    t0 = time.perf_counter()
-    n = 0
-    for _ in range(reps):
-        for p in paths:
-            n += len(tfrecord.read_tfrecord(tfrecord_path(p)))
-    measured = n / (time.perf_counter() - t0)
     tf_bytes = sum(os.path.getsize(tfrecord_path(p)) for p in paths)
     rows.append(
         {
             "config": "tfrecord",
-            "measured_img_s": measured,
+            "measured_img_s": measured["tfrecord"],
             "modeled_img_s": n_img / storage.read_time(tf_bytes, len(paths)),
             "bytes_per_img": tf_bytes / n_img,
         }

@@ -16,10 +16,11 @@ import os
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.dataset import build_pcr_dataset
+from repro.core.dataset import build_pcr_dataset, metadata_path
 from repro.iosim.pipeline import MODEL_RATES
 
 N_NODES = 10  # paper: 10 training workers (20 in the "heavy" runs)
+FLOAT_FMT = "{:.3g}"  # float cells of fmt_table's markdown tables
 
 
 def data_root() -> str:
@@ -35,7 +36,7 @@ def dataset_dir(name: str, sf: float = 1.0) -> str:
 def get_or_build(spark: SparkSession, name: str, sf: float = 1.0) -> str:
     """Build (or reuse) a PCR dataset; returns its directory."""
     out = dataset_dir(name, sf)
-    if not os.path.exists(os.path.join(out, "metadata.parquet")):
+    if not os.path.exists(metadata_path(out)):
         build_pcr_dataset(spark, name, out, sf=sf)
     return out
 
@@ -45,26 +46,26 @@ def cluster_rate(model: str, n_nodes: int = N_NODES) -> float:
     return MODEL_RATES[model] * n_nodes
 
 
-def reference_bandwidth(stats: pd.Series, model: str = "resnet_lite",
-                        n_nodes: int = N_NODES) -> float:
+def reference_bandwidth(stats: pd.Series) -> float:
     """Cluster storage bandwidth (bytes/s) for the Figure-5 regime.
 
     Chosen so full-fidelity (scan 10) data throughput is half the
-    cluster compute rate — scan 10 I/O bound by 2x, scan 5 (~half the
-    bytes) right at the compute limit, matching the paper's cluster.
+    ``resnet_lite`` cluster compute rate — scan 10 I/O bound by 2x, scan
+    5 (~half the bytes) right at the compute limit, matching the paper's
+    cluster.
     ``stats`` is the dataset's ``analysis.scan_size_stats`` row.
     """
-    return 0.5 * cluster_rate(model, n_nodes) * float(stats["mean_cum_10"])
+    return 0.5 * cluster_rate("resnet_lite") * float(stats["mean_cum_10"])
 
 
-def fmt_table(pdf: pd.DataFrame, floatfmt: str = "{:.3g}") -> str:
+def fmt_table(pdf: pd.DataFrame) -> str:
     """Render a small DataFrame as a GitHub-markdown table."""
     cols = list(pdf.columns)
     lines = ["| " + " | ".join(str(c) for c in cols) + " |",
              "|" + "|".join(["---"] * len(cols)) + "|"]
     for _, r in pdf.iterrows():
         cells = [
-            floatfmt.format(v) if isinstance(v, float) else str(v) for v in r
+            FLOAT_FMT.format(v) if isinstance(v, float) else str(v) for v in r
         ]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)

@@ -69,7 +69,9 @@ class PcrInfo:
 
     def prefix_bytes(self, g: int) -> int:
         """Bytes that must be read to access the dataset at fidelity g."""
-        assert 1 <= g <= self.n_scan_groups
+        if not 1 <= g <= self.n_scan_groups:
+            raise ValueError(f"{self.path}: scan group {g} is outside "
+                             f"1..{self.n_scan_groups}")
         return self.group_end[g - 1]
 
 
@@ -88,7 +90,9 @@ def write_pcr(path: str, images: list[tuple[bytes, int]]) -> PcrInfo:
         (h0, h1), spans = markers.scan_spans(data)
         if n_groups is None:
             n_groups = len(spans)
-        assert len(spans) == n_groups, "all images must share the scan script"
+        if len(spans) != n_groups:
+            raise ValueError(f"{path}: image {len(headers)} has {len(spans)} scans, "
+                             f"image 0 has {n_groups}; all must share the scan script")
         headers.append(data[h0:h1])
         scans.append([data[s:e] for s, e in spans])
         labels.append(int(label))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 # Paper §A.5 single-node training rates (images/second).
 MODEL_RATES = {"resnet_lite": 450.0, "shufflenet_lite": 750.0}
+PREFETCH_DEPTH = 2  # records the loader may hold ahead of compute (double buffer)
 
 
 def data_throughput(bandwidth: float, mean_image_bytes: float) -> float:
@@ -48,7 +49,7 @@ class SimResult:
 
 def simulate_training(n_records: int, images_per_record: int,
                       mean_image_bytes: float, bandwidth: float,
-                      compute_rate: float, prefetch_depth: int = 2) -> SimResult:
+                      compute_rate: float) -> SimResult:
     """Event-driven double-buffer loader -> compute simulation (Fig 17/18).
 
     The loader is a closed system (fetches the next record as soon as a
@@ -63,7 +64,7 @@ def simulate_training(n_records: int, images_per_record: int,
     stalls = []
     fetched = 0
     # Prime the prefetch queue.
-    while fetched < min(prefetch_depth, n_records):
+    while fetched < min(PREFETCH_DEPTH, n_records):
         loader_free += fetch_time
         ready.append(loader_free)
         fetched += 1

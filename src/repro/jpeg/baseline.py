@@ -74,8 +74,8 @@ def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
     """Serialize a coefficient image as baseline sequential JPEG."""
     nc = ci.n_components
     n_blocks = ci.components[0].coeffs.shape[0]
-    # Table ids: 0 = luma, 1 = chroma (components 2,3 share id 1).
-    tids = [0 if c == 0 else 1 for c in range(nc)]
+    # Huffman table ids follow the quant table ids: 0 = luma, 1 = chroma.
+    tids = [comp.qtab_id for comp in ci.components]
     dc = [dc_symbols(comp.coeffs) for comp in ci.components]
     ac = [ac_symbols(comp.coeffs[:, 1:]) for comp in ci.components]
     dc_tabs = optimal_tables(tids, [np.bincount(sym, minlength=256) for sym, _ in dc])

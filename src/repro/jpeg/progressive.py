@@ -89,7 +89,7 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     """Serialize a coefficient image as a 10-scan progressive JPEG."""
     nc = ci.n_components
     script = script_for(nc)
-    tids = [0 if c == 0 else 1 for c in range(nc)]
+    tids = [comp.qtab_id for comp in ci.components]  # DC tables: 0 luma, 1 chroma
 
     # Pass 1: gather symbols for every scan, then build one optimal DC
     # table per luma/chroma class and one AC table per script slot.

@@ -14,6 +14,8 @@ import numpy as np
 from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
 from repro.train.model import SoftmaxModel, train_sgd
 
+PROBE_SIZE = 2560  # training samples each similarity probe scores
+
 
 @dataclass
 class AutotuneResult:
@@ -26,8 +28,7 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
                    X_test: np.ndarray, y_test: np.ndarray,
                    n_classes: int, epochs: int,
                    threshold: float = DEFAULT_THRESHOLD,
-                   warmup_epochs: int = 5, tune_every: int = 20,
-                   probe_size: int = 2560, lr: float = 0.5,
+                   warmup_epochs: int = 5, tune_every: int = 20, lr: float = 0.5,
                    lr_drops: tuple[int, ...] = (), seed: int = 0) -> AutotuneResult:
     """Train with dynamic scan selection; returns per-epoch scan + accuracy."""
     full_scan = max(X_by_scan)
@@ -41,10 +42,9 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
         if epoch in lr_drops:
             cur_lr *= 0.1
         if epoch >= warmup_epochs and (epoch - warmup_epochs) % tune_every == 0:
-            probe = rng.choice(len(y), size=min(probe_size, len(y)), replace=False)
+            probe = rng.choice(len(y), size=min(PROBE_SIZE, len(y)), replace=False)
             score = similarity_by_scan(
-                model, {g: X[probe] for g, X in X_by_scan.items()}, y[probe],
-                full_scan=full_scan,
+                model, {g: X[probe] for g, X in X_by_scan.items()}, y[probe]
             )
             ok = [g for g, s in score.items() if s >= threshold]
             scan = min(ok) if ok else full_scan

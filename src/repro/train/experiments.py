@@ -14,16 +14,15 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import harness
-from repro.core.analysis import scan_size_stats, speedup_table
+from repro.core.analysis import TABLE_SCANS, scan_size_stats, speedup_table
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
 from repro.iosim.pipeline import time_to_accuracy
 from repro.iosim.storage import MiB
-from repro.train.autotune import autotune_train, static_train
+from repro.train.autotune import PROBE_SIZE, autotune_train, static_train
 from repro.train.features import feature_mask
 from repro.train.gradsim import similarity_by_scan
 from repro.train.model import SoftmaxModel, standardize, train_sgd
 
-DEFAULT_SCANS = (1, 2, 5, 10)
 EPOCHS = 40
 LR = 0.3
 LR_DROPS = (25, 35)  # paper drops at 30/60 of 90; scaled to 40 epochs
@@ -43,7 +42,7 @@ class ScanData:
 
 
 def load_scan_data(spark: SparkSession, dataset: str, sf: float = 1.0,
-                   scans=DEFAULT_SCANS, label_col: str = "label",
+                   scans=TABLE_SCANS, label_col: str = "label",
                    model: str = "resnet_lite") -> ScanData:
     """Features at each scan group, standardized per scan group.
 
@@ -101,7 +100,7 @@ def seconds_per_epoch(stats: pd.Series, model: str,
 
 def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
                           models=("resnet_lite", "shufflenet_lite"),
-                          scans=DEFAULT_SCANS, label_col: str = "label",
+                          scans=TABLE_SCANS, label_col: str = "label",
                           target_frac: float = 0.95) -> pd.DataFrame:
     """Figs 7/9/10/11/27/28 as a table: final accuracy + simulated
     time-to-target per scan group and model.
@@ -134,10 +133,10 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
 
 
 def fig6_gradient_similarity(spark: SparkSession, dataset: str = "ham_lite",
-                             sf: float = 1.0, scans=DEFAULT_SCANS,
+                             sf: float = 1.0, scans=TABLE_SCANS,
                              checkpoints=(5, 15, 25, 35),
-                             model: str = "resnet_lite",
-                             probe_size: int = 2560, seed: int = 0) -> pd.DataFrame:
+                             model: str = "resnet_lite", probe_size: int = PROBE_SIZE,
+                             seed: int = 0) -> pd.DataFrame:
     """Fig 6: gradient cosine similarity per scan across training.
 
     Trains on full fidelity; at each checkpoint epoch the model is
@@ -173,7 +172,7 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
     Reports final accuracy and total simulated time; the autotuner's
     per-epoch scan choice prices each epoch at that scan's I/O time.
     """
-    data = load_scan_data(spark, dataset, sf, DEFAULT_SCANS, model=model)
+    data = load_scan_data(spark, dataset, sf, TABLE_SCANS, model=model)
     out = harness.get_or_build(spark, dataset, sf)
     spe = seconds_per_epoch(scan_size_stats(read_metadata(spark, out)), model)
     res = autotune_train(
@@ -221,7 +220,7 @@ def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
                           sf: float = 1.0,
                           models=("resnet_lite", "shufflenet_lite"),
                           bandwidth_fracs=(0.05, 0.125, 0.25, 0.5, 1.25),
-                          scans=DEFAULT_SCANS,
+                          scans=TABLE_SCANS,
                           target_frac: float = 0.95) -> pd.DataFrame:
     """Fig 16: time-to-target accuracy across cluster bandwidths.
 

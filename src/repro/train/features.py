@@ -24,11 +24,12 @@ import numpy as np
 
 from repro.jpeg import dct
 from repro.jpeg.codec import plane_to_blocks, to_gray
+from repro.jpeg.progressive import SCRIPT_COLOR
 from repro.jpeg.quant import ZIGZAG
 
-# Zigzag band edges matching the luma portion of the progressive script:
+# Zigzag band edges of the luma scans of the progressive script:
 # DC | 1-5 | 6-13 | 14-21 | 22-30 | 31-40 | 41-51 | 52-63.
-BAND_EDGES = [0, 1, 6, 14, 22, 31, 41, 52, 64]
+BAND_EDGES = [ss for comp, ss, _, _ in SCRIPT_COLOR if comp in (None, 0)] + [64]
 N_BANDS = len(BAND_EDGES) - 1
 
 # Per-feature (band, orientation) layout: band 0 contributes one DC

@@ -28,9 +28,9 @@ def gradient_similarity(model: SoftmaxModel, X_full: np.ndarray,
 
 
 def similarity_by_scan(model: SoftmaxModel, X_by_scan: dict[int, np.ndarray],
-                       y: np.ndarray, full_scan: int = 10) -> dict[int, float]:
-    """Similarity score of every available scan group vs the full data."""
-    X_full = X_by_scan[full_scan]
+                       y: np.ndarray) -> dict[int, float]:
+    """Similarity score of every scan group vs the highest (full) one."""
+    X_full = X_by_scan[max(X_by_scan)]
     return {
         g: gradient_similarity(model, X_full, X_by_scan[g], y)
         for g in sorted(X_by_scan)

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BATCH_SIZE = 64  # minibatch size of every SGD run
+
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
@@ -74,8 +76,7 @@ def standardize(X: np.ndarray, mean=None, std=None, min_std: float = 1e-8):
 
 
 def train_sgd(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,
-              epochs: int, lr: float = 0.5, batch_size: int = 64,
-              lr_drops: tuple[int, ...] = (),
+              epochs: int, lr: float = 0.5, lr_drops: tuple[int, ...] = (),
               seed: int | np.random.Generator = 0,
               eval_fn=None) -> list:
     """Minibatch SGD with step-decay (paper drops lr 10x at fixed epochs).
@@ -90,8 +91,8 @@ def train_sgd(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,
         if epoch in lr_drops:
             cur_lr *= 0.1
         idx = rng.permutation(len(y))
-        for s in range(0, len(y), batch_size):
-            b = idx[s : s + batch_size]
+        for s in range(0, len(y), BATCH_SIZE):
+            b = idx[s : s + BATCH_SIZE]
             dW, db = model.gradient(X[b], y[b])
             model.step(dW, db, cur_lr)
         if eval_fn is not None:

@@ -132,6 +132,28 @@ def test_fig6_similarity_ordered_by_fidelity(spark, celeba_dir, monkeypatch):
     assert row["scan_1"] <= row["scan_5"] + 0.05
 
 
+def test_median_rates_are_items_over_median_pass_time(monkeypatch):
+    """One untimed warm-up call of each pass, then round-robin timed
+    calls; each rate is the pass's items over its median timed call,
+    read from a fake clock."""
+    clock = [0.0]
+    durations = {"a": iter([100.0, 3.0, 1.0, 2.0, 9.0, 4.0]),  # warm-up first
+                 "b": iter([50.0, 1.0, 2.0, 30.0, 0.5, 2.0])}
+    calls = []
+    monkeypatch.setattr(cx.time, "perf_counter", lambda: clock[0])
+
+    def one_pass(key, items):
+        calls.append(key)
+        clock[0] += next(durations[key])
+        return items
+
+    rates = cx.median_rates({"a": lambda: one_pass("a", 12),
+                             "b": lambda: one_pass("b", 5)})
+    assert cx.TIMED_PASSES == 5
+    assert rates == {"a": 12 / 3.0, "b": 5 / 2.0}
+    assert calls == ["a", "b"] * (1 + cx.TIMED_PASSES)
+
+
 def test_fig22_times_the_conversion_of_the_stored_records(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
     monkeypatch.setattr(cx, "ALL_DATASETS", ["celeba_lite"])

@@ -51,7 +51,7 @@ def test_simulation_matches_closed_form(bandwidth, compute_rate):
     mean_bytes = 110_000
     res = simulate_training(
         n_records=400, images_per_record=64, mean_image_bytes=mean_bytes,
-        bandwidth=bandwidth, compute_rate=compute_rate, prefetch_depth=2,
+        bandwidth=bandwidth, compute_rate=compute_rate,
     )
     predicted = system_throughput(bandwidth, mean_bytes, compute_rate)
     assert res.throughput == pytest.approx(predicted, rel=0.02)

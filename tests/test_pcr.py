@@ -1,6 +1,7 @@
 """Unit tests for the PCR record format (paper Fig 4 layout)."""
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -97,6 +98,27 @@ def test_prefix_bytes_monotone_and_bounded(record):
     assert sizes[-1] == os.path.getsize(path)
     # Scan 1 must be a small fraction of the full record.
     assert sizes[0] < 0.6 * sizes[-1]
+
+
+@pytest.mark.parametrize("g", [0, N_SCANS + 1])
+def test_prefix_bytes_out_of_range_rejected(record, g):
+    """An out-of-range scan group raises naming the file, also under
+    ``python -O`` (g = 0 must not index the last group's end)."""
+    path, info, _, _ = record
+    with pytest.raises(ValueError, match=f"{re.escape(path)}: scan group {g} "):
+        info.prefix_bytes(g)
+
+
+def test_mixed_scan_scripts_rejected(record, tmp_path):
+    """A baseline (one scan) beside a progressive image (ten) shares no
+    scan-group layout: writing them raises naming the file, also under
+    ``python -O``, instead of dropping the progressive image's scans."""
+    _, _, progs, labels = record
+    spec = SPECS["celeba_lite"]
+    base = encode_baseline(generate_image(spec, 0)[0], spec.quality)
+    path = str(tmp_path / "mixed.pcr")
+    with pytest.raises(ValueError, match=f"{re.escape(path)}: .*scan script"):
+        pcr.write_pcr(path, [(base, labels[0]), (progs[1], labels[1])])
 
 
 def test_prefix_read_is_exact_subset(record):

@@ -13,6 +13,7 @@ from repro.core.dataset import (
     dataset_summary,
     features_to_arrays,
     load_features,
+    metadata_path,
     read_metadata,
     record_paths,
     tfrecord_path,
@@ -113,6 +114,26 @@ def test_load_features_one_record_per_partition(spark, request, dataset):
         list(range(pcr.read_index(p).n_images)) for p in paths
     ]
     assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
+
+
+@pytest.mark.parametrize("dataset,name,sf", [("celeba_dir", "celeba_lite", 0.25),
+                                             ("cars_dir", "cars_lite", 1.0)])
+def test_record_layout(request, dataset, name, sf):
+    """Record r of k is ``record_{r:04d}.pcr`` and holds images
+    ``r*n//k`` up to ``(r+1)*n//k`` in pos order."""
+    out = request.getfixturevalue(dataset)
+    n = n_images(SPECS[name], sf)
+    paths = record_paths(out)
+    k = len(paths)
+    assert [os.path.basename(p) for p in paths] == [
+        f"record_{r:04d}.pcr" for r in range(k)
+    ]
+    meta = pd.read_parquet(metadata_path(out)).sort_values(["record", "pos"])
+    for r, path in enumerate(paths):
+        rows = meta[meta["record"] == path]
+        assert rows["pos"].tolist() == list(range(len(rows)))
+        assert rows["idx"].tolist() == list(range(r * n // k, (r + 1) * n // k))
+    assert len(meta) == n
 
 
 def test_collect_features_join_complete(spark, celeba_dir):
