@@ -16,7 +16,7 @@ def run(spark) -> str:
     sf = _job.arg_sf()
     parts = []
     for thr in (0.8, 0.9):
-        t = fig14_autotune(spark, "imagenet_lite", sf=sf, threshold=thr)
+        t = fig14_autotune(spark, sf, thr)
         parts.append(f"## threshold {thr}\n\n" + fmt_table(t))
     return "# Fig 14 — autotuning (ours, imagenet_lite/resnet_lite)\n\n" + "\n\n".join(parts) + "\n\n" + PAPER
 

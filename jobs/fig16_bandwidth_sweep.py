@@ -13,7 +13,7 @@ bandwidths, so low scans keep helping them longer."""
 
 
 def run(spark) -> str:
-    t = fig16_bandwidth_sweep(spark, "imagenet_lite", sf=_job.arg_sf())
+    t = fig16_bandwidth_sweep(spark, _job.arg_sf())
     return "# Fig 16 — bandwidth sweep (ours, imagenet_lite)\n\n" + fmt_table(t) + "\n\n" + PAPER
 
 

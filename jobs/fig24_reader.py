@@ -14,7 +14,7 @@ layouts due to per-image seeks."""
 
 
 def run(spark) -> str:
-    t = fig24_reader(spark, "celeba_lite", sf=_job.arg_sf())
+    t = fig24_reader(spark, _job.arg_sf())
     return "# Fig 24 — reader throughput (ours, celeba_lite)\n\n" + fmt_table(t) + "\n\n" + PAPER
 
 

@@ -12,7 +12,7 @@ stay within ~0.1 of the baseline gradient (above the 0.8 threshold)."""
 
 
 def run(spark) -> str:
-    t = fig6_gradient_similarity(spark, "ham_lite", sf=_job.arg_sf())
+    t = fig6_gradient_similarity(spark, _job.arg_sf())
     return "# Fig 6 — gradient similarity (ours, ham_lite/resnet_lite)\n\n" + fmt_table(t) + "\n\n" + PAPER
 
 

@@ -31,27 +31,27 @@ def with_cumulative(meta: DataFrame) -> DataFrame:
 
 
 def scan_size_stats(meta: DataFrame) -> pd.Series:
-    """Mean per-image bytes at each fidelity + full/baseline means and
-    the image count, as one row (Fig 8)."""
+    """Mean per-image bytes at each fidelity + the baseline mean and the
+    image count, as one row (Fig 8)."""
     cum = with_cumulative(meta)
     aggs = [F.avg(f"cum_{g}_bytes").alias(f"mean_cum_{g}") for g in range(1, N_SCANS + 1)]
     aggs += [
         F.avg("baseline_bytes").alias("mean_baseline"),
-        F.avg("progressive_bytes").alias("mean_progressive"),
         F.count("*").alias("n_images"),
     ]
     return cum.agg(*aggs).toPandas().iloc[0]
 
 
-def size_reduction_table(stats: pd.Series, scans=TABLE_SCANS) -> dict:
-    """One Table-1 row: reduction factor per scan + mean image size.
+def size_reduction_table(stats: pd.Series) -> dict:
+    """One Table-1 row: reduction factor per ``TABLE_SCANS`` scan + mean
+    image size.
 
     Reduction factor for scan g = mean full-fidelity bytes / mean bytes
     read at fidelity g (so scan 10 is 1x by construction).
     """
     full = stats[f"mean_cum_{N_SCANS}"]
     row = {
-        f"scan_{g}": float(full / stats[f"mean_cum_{g}"]) for g in scans
+        f"scan_{g}": float(full / stats[f"mean_cum_{g}"]) for g in TABLE_SCANS
     }
     row["mean_size_bytes"] = float(full)
     return row

@@ -6,6 +6,7 @@ live in ``repro.train.experiments``.
 """
 import filecmp
 import functools
+import math
 import os
 import statistics
 import tempfile
@@ -29,13 +30,14 @@ from repro.core.dataset import (dataset_summary, map_records, read_metadata,
                                 record_paths, tfrecord_path)
 from repro.formats import tfrecord
 from repro.iosim.pipeline import simulate_training
-from repro.iosim.storage import MiB, StorageModel
+from repro.iosim.storage import MiB, fpi_epoch_time, read_time
 from repro.jpeg import N_SCANS, baseline_to_progressive, decode, encode_baseline
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS
 
 ALL_DATASETS = list(SPECS)
 TIMED_PASSES = 5  # timed passes per wall-clock cell; the cell is their median
+MIN_PASS_S = 0.05  # seconds a timed pass lasts, at its warm-up call's speed
 DECODE_IMAGES = 24  # images of each dataset's first record Table 2 decodes
 MSSIM_IMAGES = 12  # images of each dataset's first record Fig 13 scores
 STATIC_QUALITIES = (50, 75, 90, 95)  # Fig 22's static re-encode qualities
@@ -43,18 +45,23 @@ STATIC_QUALITIES = (50, 75, 90, 95)  # Fig 22's static re-encode qualities
 
 def median_rates(passes: dict[str, Callable[[], int]]) -> dict[str, float]:
     """Items/s of each pass, a call that processes and returns a fixed
-    number of items: one untimed warm-up call of each, then that number
-    over the median time of its ``TIMED_PASSES`` timed calls. The timed
-    calls go round-robin, so every pass is timed across the same window
-    and a drift in host speed moves all of them alike."""
-    for one_pass in passes.values():
+    number of items. One timed warm-up call of each sets its repeat
+    count, ``ceil(MIN_PASS_S / warm-up time)``, so that a timed pass of
+    that many calls outlasts the clock's noise; the rate is a pass's
+    items over the median time of its ``TIMED_PASSES`` timed passes. The
+    timed passes go round-robin, so every pass is timed across the same
+    window and a drift in host speed moves all of them alike."""
+    repeats = {}
+    for key, one_pass in passes.items():
+        t0 = time.perf_counter()
         one_pass()
+        repeats[key] = math.ceil(MIN_PASS_S / (time.perf_counter() - t0))
     times: dict[str, list[float]] = {key: [] for key in passes}
     items = {}
     for _ in range(TIMED_PASSES):
         for key, one_pass in passes.items():
             t0 = time.perf_counter()
-            items[key] = one_pass()
+            items[key] = sum(one_pass() for _ in range(repeats[key]))
             times[key].append(time.perf_counter() - t0)
     return {key: items[key] / statistics.median(times[key]) for key in passes}
 
@@ -106,18 +113,19 @@ def table3_dataset_summary(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame
     )
 
 
-def fig5_throughput(spark: SparkSession, dataset: str = "imagenet_lite",
-                    sf: float = 1.0, model: str = "resnet_lite") -> pd.DataFrame:
-    """Fig 5/15/24-middle: cluster training rate per scan, predicted vs
-    event-simulated, plus the TFRecord baseline row."""
-    out = harness.get_or_build(spark, dataset, sf)
+def fig5_throughput(spark: SparkSession, sf: float = 1.0,
+                    model: str = "resnet_lite") -> pd.DataFrame:
+    """Fig 5/15/24-middle: imagenet_lite's cluster training rate per
+    scan, predicted vs event-simulated, plus the TFRecord baseline row."""
+    out = harness.get_or_build(spark, "imagenet_lite", sf)
     stats = scan_size_stats(read_metadata(spark, out))
     W = harness.reference_bandwidth(stats)
     rate = harness.cluster_rate(model)
     df = speedup_table(stats, compute_rate=rate, bandwidth=W).reset_index()
     df["simulated_rate"] = [
         simulate_training(
-            n_records=64, images_per_record=SPECS[dataset].images_per_record,
+            n_records=64,
+            images_per_record=SPECS["imagenet_lite"].images_per_record,
             mean_image_bytes=b, bandwidth=W, compute_rate=rate,
         ).throughput
         for b in df["mean_bytes"]
@@ -230,9 +238,8 @@ def _read_pcrs(paths: list[str], g: int) -> int:
     return sum(len(pcr.read_pcr(p, g)) for p in paths)
 
 
-def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
-                 sf: float = 1.0) -> pd.DataFrame:
-    """Fig 24 + §6.2 FPI claim: reader throughput per scan.
+def fig24_reader(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
+    """Fig 24 + §6.2 FPI claim: celeba_lite's reader throughput per scan.
 
     'measured' columns are the ``median_rates`` of wall-clock passes of
     PCR prefix reads + reassembly (no decode) or TFRecord reads over every
@@ -240,11 +247,10 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
     the storage cost model, which also prices the File-per-Image layout
     (per-image seeks).
     """
-    out = harness.get_or_build(spark, dataset, sf)
+    out = harness.get_or_build(spark, "celeba_lite", sf)
     paths = record_paths(out)
     stats = scan_size_stats(read_metadata(spark, out))
     n_img = sum(pcr.read_index(p).n_images for p in paths)
-    storage = StorageModel()
     measured = median_rates({
         **{f"scan_{g}": functools.partial(_read_pcrs, paths, g) for g in TABLE_SCANS},
         "tfrecord": lambda: sum(len(tfrecord.read_tfrecord(tfrecord_path(p)))
@@ -253,7 +259,7 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
     rows = []
     for g in TABLE_SCANS:
         nbytes = sum(pcr.read_index(p).prefix_bytes(g) for p in paths)
-        modeled = n_img / storage.read_time(nbytes, n_seeks=len(paths))
+        modeled = n_img / read_time(nbytes, len(paths))
         rows.append(
             {
                 "config": f"scan_{g}",
@@ -268,7 +274,7 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
         {
             "config": "tfrecord",
             "measured_img_s": measured["tfrecord"],
-            "modeled_img_s": n_img / storage.read_time(tf_bytes, len(paths)),
+            "modeled_img_s": n_img / read_time(tf_bytes, len(paths)),
             "bytes_per_img": tf_bytes / n_img,
         }
     )
@@ -278,7 +284,7 @@ def fig24_reader(spark: SparkSession, dataset: str = "celeba_lite",
         {
             "config": "file_per_image",
             "measured_img_s": float("nan"),
-            "modeled_img_s": n_img / storage.fpi_epoch_time(n_img, mean_img),
+            "modeled_img_s": n_img / fpi_epoch_time(n_img, mean_img),
             "bytes_per_img": mean_img,
         }
     )

@@ -41,9 +41,9 @@ def get_or_build(spark: SparkSession, name: str, sf: float = 1.0) -> str:
     return out
 
 
-def cluster_rate(model: str, n_nodes: int = N_NODES) -> float:
-    """Aggregate compute rate (images/s) of the training cluster."""
-    return MODEL_RATES[model] * n_nodes
+def cluster_rate(model: str) -> float:
+    """Aggregate compute rate (images/s) of the ``N_NODES`` training nodes."""
+    return MODEL_RATES[model] * N_NODES
 
 
 def reference_bandwidth(stats: pd.Series) -> float:

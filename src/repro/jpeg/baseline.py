@@ -118,6 +118,6 @@ def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
     return out
 
 
-def encode_baseline(img: np.ndarray, quality: int = 90) -> bytes:
+def encode_baseline(img: np.ndarray, quality: int) -> bytes:
     """Encode an RGB/grayscale uint8 image as baseline sequential JPEG."""
     return encode_baseline_from_coeffs(forward(img, quality))

@@ -181,18 +181,27 @@ def _ac_band_scan(entropy: bytes, n_blocks: int, ss: int, se: int,
                 break
 
 
+def _table(htables: dict[tuple[int, int], HuffmanTable], tc: int,
+           th: int) -> HuffmanTable:
+    if (tc, th) not in htables:
+        raise ValueError(f"scan uses undefined {('DC', 'AC')[tc]} Huffman table {th}")
+    return htables[(tc, th)]
+
+
 def _decode_scan(frame: _Frame, payload: bytes, entropy: bytes,
                  htables: dict[tuple[int, int], HuffmanTable]) -> None:
     ns = payload[0]
+    ss, se, _ = payload[1 + 2 * ns : 4 + 2 * ns]
+    if ss != 0 and ns != 1:
+        raise ValueError("progressive AC scans are single-component")
     outs, dc_tabs, ac_tabs = [], [], []
     for j in range(ns):
         cid, tda = payload[1 + 2 * j : 3 + 2 * j]
         outs.append(frame.flat[frame.comp_ids.index(cid)])
-        dc_tabs.append(htables.get((0, tda >> 4)))
-        ac_tabs.append(htables.get((1, tda & 0xF)))
-    ss, se, _ = payload[1 + 2 * ns : 4 + 2 * ns]
-    if ss != 0 and ns != 1:
-        raise ValueError("progressive AC scans are single-component")
+        # Only the tables the scan decodes with must exist: a DC-only
+        # scan (Se = 0) may name an undefined AC table.
+        dc_tabs.append(_table(htables, 0, tda >> 4) if ss == 0 else None)
+        ac_tabs.append(_table(htables, 1, tda & 0xF) if se else None)
     try:
         if ss == 0:
             _interleaved_scan(entropy, frame.n_blocks, se, dc_tabs, ac_tabs, outs)
@@ -226,6 +235,9 @@ def decode_to_coeffs(data: bytes) -> CoeffImage:
         for c in range(len(frame.coeffs))
     ]
     n_qt = max(frame.qtab_ids) + 1
+    for i in range(n_qt):
+        if i not in qtables:
+            raise ValueError(f"frame needs undefined quant table {i}")
     return CoeffImage(
         frame.height, frame.width, comps, [qtables[i] for i in range(n_qt)]
     )

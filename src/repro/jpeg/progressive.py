@@ -133,6 +133,6 @@ def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     return out
 
 
-def encode_progressive(img: np.ndarray, quality: int = 90) -> bytes:
+def encode_progressive(img: np.ndarray, quality: int) -> bytes:
     """Encode an RGB/grayscale uint8 image as 10-scan progressive JPEG."""
     return encode_progressive_from_coeffs(forward(img, quality))

@@ -35,7 +35,6 @@ class DatasetSpec:
     size: int  # square images, pixels per side
     n_classes: int
     quality: int  # JPEG quality the "original" corpus is stored at
-    color: bool = True
     # Index of the DCT band (0=DC .. 9=highest, aligned with the luma
     # scan bands) where the fine-grained texture signal lives.
     texture_band: int = 6
@@ -121,14 +120,10 @@ def generate_image(spec: DatasetSpec, idx: int) -> tuple[np.ndarray, dict]:
         labels = {"label": cls, "make": cls, "is_zero": int(cls == 0)}
     img += rng.standard_normal((size, size)) * 6.0
     gray = np.clip(img, 0, 255)
-    if spec.color:
-        tint = rng.uniform(0.85, 1.15, 3)
-        rgbs = [np.clip(gray * t + s, 0, 255)
-                for t, s in zip(tint, [0.0, 5.0, -5.0])]
-        out = np.stack(rgbs, axis=-1).astype(np.uint8)
-    else:
-        out = gray.astype(np.uint8)
-    return out, labels
+    tint = rng.uniform(0.85, 1.15, 3)
+    rgbs = [np.clip(gray * t + s, 0, 255)
+            for t, s in zip(tint, [0.0, 5.0, -5.0])]
+    return np.stack(rgbs, axis=-1).astype(np.uint8), labels
 
 
 def n_images(spec: DatasetSpec, sf: float = 1.0) -> int:

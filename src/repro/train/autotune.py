@@ -1,20 +1,22 @@
 """Scan-group autotuner (paper §4.3/§6.5, Figures 14/26).
 
-Training starts at scan 10 (warmup, paper: first 5 epochs), then every
-``tune_every`` epochs the tuner freezes the model, scores each candidate
-scan group by gradient cosine similarity against the full-fidelity
-data, and switches to the *lowest* (cheapest) scan whose similarity is
-at or above the threshold (default 0.8). One hyperparameter, no
-validation data — as in the paper.
+Training starts at scan 10 (the first ``WARMUP_EPOCHS``, as in the
+paper), then every ``TUNE_EVERY`` epochs the tuner freezes the model,
+scores each candidate scan group by gradient cosine similarity against
+the full-fidelity data, and switches to the *lowest* (cheapest) scan
+whose similarity is at or above the threshold (default 0.8). One
+hyperparameter, no validation data — as in the paper.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
-from repro.train.model import SoftmaxModel, train_sgd
+from repro.train.model import EPOCHS, LR, LR_DROPS, SEED, SoftmaxModel, train_sgd
 
 PROBE_SIZE = 2560  # training samples each similarity probe scores
+WARMUP_EPOCHS = 5  # epochs at full fidelity before the first probe
+TUNE_EVERY = 10  # epochs between similarity probes
 
 
 @dataclass
@@ -26,22 +28,20 @@ class AutotuneResult:
 
 def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
                    X_test: np.ndarray, y_test: np.ndarray,
-                   n_classes: int, epochs: int,
-                   threshold: float = DEFAULT_THRESHOLD,
-                   warmup_epochs: int = 5, tune_every: int = 20, lr: float = 0.5,
-                   lr_drops: tuple[int, ...] = (), seed: int = 0) -> AutotuneResult:
+                   n_classes: int,
+                   threshold: float = DEFAULT_THRESHOLD) -> AutotuneResult:
     """Train with dynamic scan selection; returns per-epoch scan + accuracy."""
     full_scan = max(X_by_scan)
     n_features = X_by_scan[full_scan].shape[1]
-    model = SoftmaxModel(n_features, n_classes, seed=seed)
-    rng = np.random.default_rng(seed)
+    model = SoftmaxModel(n_features, n_classes)
+    rng = np.random.default_rng(SEED)
     scan = full_scan
     scans, accs, sims = [], [], []
-    cur_lr = lr
-    for epoch in range(epochs):
-        if epoch in lr_drops:
+    cur_lr = LR
+    for epoch in range(EPOCHS):
+        if epoch in LR_DROPS:
             cur_lr *= 0.1
-        if epoch >= warmup_epochs and (epoch - warmup_epochs) % tune_every == 0:
+        if epoch >= WARMUP_EPOCHS and (epoch - WARMUP_EPOCHS) % TUNE_EVERY == 0:
             probe = rng.choice(len(y), size=min(PROBE_SIZE, len(y)), replace=False)
             score = similarity_by_scan(
                 model, {g: X[probe] for g, X in X_by_scan.items()}, y[probe]
@@ -58,12 +58,10 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
 
 
 def static_train(X: np.ndarray, y: np.ndarray, X_test: np.ndarray,
-                 y_test: np.ndarray, n_classes: int, epochs: int,
-                 lr: float = 0.5, lr_drops: tuple[int, ...] = (),
-                 seed: int = 0) -> list[float]:
+                 y_test: np.ndarray, n_classes: int) -> list[float]:
     """Fixed-fidelity training; returns test accuracy per epoch."""
-    model = SoftmaxModel(X.shape[1], n_classes, seed=seed)
+    model = SoftmaxModel(X.shape[1], n_classes)
     return train_sgd(
-        model, X, y, epochs=epochs, lr=lr, lr_drops=lr_drops, seed=seed,
+        model, X, y, epochs=EPOCHS, lr=LR,
         eval_fn=lambda m, e: m.accuracy(X_test, y_test),
     )

@@ -20,12 +20,13 @@ from repro.iosim.pipeline import time_to_accuracy
 from repro.iosim.storage import MiB
 from repro.train.autotune import PROBE_SIZE, autotune_train, static_train
 from repro.train.features import feature_mask
-from repro.train.gradsim import similarity_by_scan
-from repro.train.model import SoftmaxModel, standardize, train_sgd
+from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
+from repro.train.model import EPOCHS, LR, SEED, SoftmaxModel, standardize, train_sgd
 
-EPOCHS = 40
-LR = 0.3
-LR_DROPS = (25, 35)  # paper drops at 30/60 of 90; scaled to 40 epochs
+MODELS = ("resnet_lite", "shufflenet_lite")  # the two model profiles
+TARGET_FRAC = 0.95  # time-to-target's target: this x scan 10's final accuracy
+CHECKPOINTS = (5, 15, 25, 35)  # Fig 6's probe epochs
+BANDWIDTH_FRACS = (0.05, 0.125, 0.25, 0.5, 1.25)  # Fig 16's bandwidths
 
 _FEATURE_CACHE: dict = {}
 
@@ -42,44 +43,38 @@ class ScanData:
 
 
 def load_scan_data(spark: SparkSession, dataset: str, sf: float = 1.0,
-                   scans=TABLE_SCANS, label_col: str = "label",
+                   label_col: str = "label",
                    model: str = "resnet_lite") -> ScanData:
-    """Features at each scan group, standardized per scan group.
+    """Features at each of the ``TABLE_SCANS``, standardized per scan group.
 
     Per-scan train statistics are the substrate's batch-norm analogue: a
     CNN normalizes whatever distribution it is fed, so each fidelity's
-    features get their own (mean, std). ``min_std`` floors the scale so
+    features get their own (mean, std). ``MIN_STD`` floors the scale so
     bands that truncation zeroes don't become amplified noise. Informative
     shared coordinates end up near-identical across scans, which is what
     makes gradient comparisons between fidelities meaningful (§4.3).
     """
     out = harness.get_or_build(spark, dataset, sf)
     mask = feature_mask(model)
-    raw = {}
-    for g in sorted(set(scans) | {10}):
+    X_by_scan, Xte_by_scan = {}, {}
+    y = yte = None
+    for g in TABLE_SCANS:
         key = (out, g)
         if key not in _FEATURE_CACHE:
             _FEATURE_CACHE[key] = collect_features(spark, out, g)
-        raw[g] = _FEATURE_CACHE[key]
-    X_by_scan, Xte_by_scan = {}, {}
-    y = yte = None
-    for g in scans:
-        Xtr, ytr, Xte, yte_g = features_to_arrays(raw[g], label_col)
-        X_by_scan[g], mu, sd = standardize(Xtr[:, mask], min_std=0.05)
+        Xtr, ytr, Xte, yte_g = features_to_arrays(_FEATURE_CACHE[key], label_col)
+        X_by_scan[g], mu, sd = standardize(Xtr[:, mask])
         Xte_by_scan[g], _, _ = standardize(Xte[:, mask], mu, sd)
         y, yte = ytr, yte_g
     return ScanData(X_by_scan, Xte_by_scan, y, yte,
                     int(max(y.max(), yte.max()) + 1))
 
 
-def accuracy_curves(data: ScanData, seed: int = 0,
-                    epochs: int = EPOCHS) -> dict[int, list[float]]:
+def accuracy_curves(data: ScanData) -> dict[int, list[float]]:
     """Test-accuracy-per-epoch for a model trained at each scan group."""
     return {
-        g: static_train(
-            data.X_by_scan[g], data.y, data.Xte_by_scan[g], data.yte,
-            data.n_classes, epochs=epochs, lr=LR, lr_drops=LR_DROPS, seed=seed,
-        )
+        g: static_train(data.X_by_scan[g], data.y, data.Xte_by_scan[g],
+                        data.yte, data.n_classes)
         for g in data.X_by_scan
     }
 
@@ -99,23 +94,22 @@ def seconds_per_epoch(stats: pd.Series, model: str,
 
 
 def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
-                          models=("resnet_lite", "shufflenet_lite"),
-                          scans=TABLE_SCANS, label_col: str = "label",
-                          target_frac: float = 0.95) -> pd.DataFrame:
+                          models=MODELS,
+                          label_col: str = "label") -> pd.DataFrame:
     """Figs 7/9/10/11/27/28 as a table: final accuracy + simulated
     time-to-target per scan group and model.
 
-    Target = ``target_frac`` x the scan-10 final accuracy of that model.
+    Target = ``TARGET_FRAC`` x the scan-10 final accuracy of that model.
     """
     out = harness.get_or_build(spark, dataset, sf)
     stats = scan_size_stats(read_metadata(spark, out))
     rows = []
     for model in models:
-        data = load_scan_data(spark, dataset, sf, scans, label_col, model)
+        data = load_scan_data(spark, dataset, sf, label_col, model)
         curves = accuracy_curves(data)
         spe = seconds_per_epoch(stats, model)
-        target = target_frac * curves[10][-1]
-        for g in scans:
+        target = TARGET_FRAC * curves[10][-1]
+        for g in TABLE_SCANS:
             accs = curves[g]
             epoch_s = spe[f"scan_{g}"]
             rows.append(
@@ -132,24 +126,22 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
     return pd.DataFrame(rows)
 
 
-def fig6_gradient_similarity(spark: SparkSession, dataset: str = "ham_lite",
-                             sf: float = 1.0, scans=TABLE_SCANS,
-                             checkpoints=(5, 15, 25, 35),
-                             model: str = "resnet_lite", probe_size: int = PROBE_SIZE,
-                             seed: int = 0) -> pd.DataFrame:
-    """Fig 6: gradient cosine similarity per scan across training.
+def fig6_gradient_similarity(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
+    """Fig 6: gradient cosine similarity per scan across training
+    (ham_lite, resnet_lite).
 
-    Trains on full fidelity; at each checkpoint epoch the model is
-    frozen and each scan group's gradient is scored against scan 10's.
+    Trains on full fidelity; at each of the ``CHECKPOINTS`` epochs the
+    model is frozen and each scan group's gradient on ``PROBE_SIZE``
+    training samples is scored against scan 10's.
     """
-    data = load_scan_data(spark, dataset, sf, scans, model=model)
-    m = SoftmaxModel(data.X_by_scan[10].shape[1], data.n_classes, seed=seed)
-    rng = np.random.default_rng(seed)
+    data = load_scan_data(spark, "ham_lite", sf)
+    m = SoftmaxModel(data.X_by_scan[10].shape[1], data.n_classes)
+    rng = np.random.default_rng(SEED)
     rows = []
 
     def probe(model_, epoch):
-        if epoch + 1 in checkpoints:
-            idx = rng.choice(len(data.y), size=min(probe_size, len(data.y)),
+        if epoch + 1 in CHECKPOINTS:
+            idx = rng.choice(len(data.y), size=min(PROBE_SIZE, len(data.y)),
                              replace=False)
             sims = similarity_by_scan(
                 model_, {g: X[idx] for g, X in data.X_by_scan.items()},
@@ -158,29 +150,25 @@ def fig6_gradient_similarity(spark: SparkSession, dataset: str = "ham_lite",
             rows.append({"epoch": epoch + 1,
                          **{f"scan_{g}": s for g, s in sims.items()}})
 
-    train_sgd(m, data.X_by_scan[10], data.y, epochs=max(checkpoints), lr=LR,
-              lr_drops=LR_DROPS, seed=seed, eval_fn=probe)
+    train_sgd(m, data.X_by_scan[10], data.y, epochs=max(CHECKPOINTS), lr=LR,
+              eval_fn=probe)
     return pd.DataFrame(rows)
 
 
-def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
-                   sf: float = 1.0, model: str = "resnet_lite",
-                   threshold: float = 0.8, epochs: int = EPOCHS,
-                   tune_every: int = 10, seed: int = 0) -> pd.DataFrame:
-    """Fig 14/26: autotuned training vs static scan 5 / scan 10 / TFRecord.
+def fig14_autotune(spark: SparkSession, sf: float = 1.0,
+                   threshold: float = DEFAULT_THRESHOLD) -> pd.DataFrame:
+    """Fig 14/26: autotuned training vs static scan 5 / scan 10 / TFRecord
+    (imagenet_lite, resnet_lite).
 
     Reports final accuracy and total simulated time; the autotuner's
     per-epoch scan choice prices each epoch at that scan's I/O time.
     """
-    data = load_scan_data(spark, dataset, sf, TABLE_SCANS, model=model)
-    out = harness.get_or_build(spark, dataset, sf)
-    spe = seconds_per_epoch(scan_size_stats(read_metadata(spark, out)), model)
-    res = autotune_train(
-        data.X_by_scan, data.y, data.Xte_by_scan[10], data.yte,
-        data.n_classes, epochs=epochs, threshold=threshold,
-        warmup_epochs=5, tune_every=tune_every, seed=seed, lr=LR,
-        lr_drops=LR_DROPS,
-    )
+    data = load_scan_data(spark, "imagenet_lite", sf)
+    out = harness.get_or_build(spark, "imagenet_lite", sf)
+    spe = seconds_per_epoch(scan_size_stats(read_metadata(spark, out)),
+                            "resnet_lite")
+    res = autotune_train(data.X_by_scan, data.y, data.Xte_by_scan[10],
+                         data.yte, data.n_classes, threshold)
     rows = [
         {
             "config": f"autotune(thr={threshold})",
@@ -192,15 +180,13 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
         }
     ]
     for g in (5, 10):
-        accs = static_train(
-            data.X_by_scan[g], data.y, data.Xte_by_scan[g], data.yte,
-            data.n_classes, epochs=epochs, lr=LR, lr_drops=LR_DROPS, seed=seed,
-        )
+        accs = static_train(data.X_by_scan[g], data.y, data.Xte_by_scan[g],
+                            data.yte, data.n_classes)
         rows.append(
             {
                 "config": f"static scan {g}",
                 "final_acc": accs[-1],
-                "total_time_s": epochs * spe[f"scan_{g}"],
+                "total_time_s": EPOCHS * spe[f"scan_{g}"],
                 "scans_used": str(g),
             }
         )
@@ -209,37 +195,33 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
         {
             "config": "tfrecord",
             "final_acc": rows[2]["final_acc"],
-            "total_time_s": epochs * spe["tfrecord"],
+            "total_time_s": EPOCHS * spe["tfrecord"],
             "scans_used": "baseline",
         }
     )
     return pd.DataFrame(rows)
 
 
-def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
-                          sf: float = 1.0,
-                          models=("resnet_lite", "shufflenet_lite"),
-                          bandwidth_fracs=(0.05, 0.125, 0.25, 0.5, 1.25),
-                          scans=TABLE_SCANS,
-                          target_frac: float = 0.95) -> pd.DataFrame:
-    """Fig 16: time-to-target accuracy across cluster bandwidths.
+def fig16_bandwidth_sweep(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
+    """Fig 16: time-to-target accuracy across cluster bandwidths
+    (imagenet_lite, both models).
 
-    Bandwidths are expressed as fractions of the Figure-5 reference
+    Bandwidths are the ``BANDWIDTH_FRACS`` of the Figure-5 reference
     bandwidth (the paper sweeps 20..500 MiB/s around its ~400 MiB/s
     cluster; same relative range).
     """
-    out = harness.get_or_build(spark, dataset, sf)
+    out = harness.get_or_build(spark, "imagenet_lite", sf)
     stats = scan_size_stats(read_metadata(spark, out))
     W_ref = harness.reference_bandwidth(stats)
     rows = []
-    for model in models:
-        data = load_scan_data(spark, dataset, sf, scans, model=model)
+    for model in MODELS:
+        data = load_scan_data(spark, "imagenet_lite", sf, model=model)
         curves = accuracy_curves(data)
-        target = target_frac * curves[10][-1]
-        for frac in bandwidth_fracs:
+        target = TARGET_FRAC * curves[10][-1]
+        for frac in BANDWIDTH_FRACS:
             W = frac * W_ref
             spe = seconds_per_epoch(stats, model, bandwidth=W)
-            for g in scans:
+            for g in TABLE_SCANS:
                 rows.append(
                     {
                         "model": model,

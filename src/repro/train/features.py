@@ -49,17 +49,18 @@ for _b in range(N_BANDS):
 
 BAND_OF_FEATURE = np.array([b for b, _ in _BAND_SELS])
 N_BAND_FEATURES = len(_BAND_SELS)
-N_PIXEL_FEATURES = 64
+GRID = 8  # the pixel features are the means of a GRID x GRID grid
+N_PIXEL_FEATURES = GRID * GRID
 N_FEATURES = N_PIXEL_FEATURES + N_BAND_FEATURES
 
 
-def _grid_means(gray: np.ndarray, g: int = 8) -> np.ndarray:
+def _grid_means(gray: np.ndarray) -> np.ndarray:
     h, w = gray.shape
-    ys = np.linspace(0, h, g + 1).astype(int)
-    xs = np.linspace(0, w, g + 1).astype(int)
-    out = np.empty((g, g))
-    for i in range(g):
-        for j in range(g):
+    ys = np.linspace(0, h, GRID + 1).astype(int)
+    xs = np.linspace(0, w, GRID + 1).astype(int)
+    out = np.empty((GRID, GRID))
+    for i in range(GRID):
+        for j in range(GRID):
             out[i, j] = gray[ys[i] : ys[i + 1], xs[j] : xs[j + 1]].mean()
     return out.reshape(-1)
 
@@ -86,7 +87,7 @@ def feature_mask(model: str) -> np.ndarray:
         m[N_PIXEL_FEATURES:] = True
         for i in (0, 2, 4, 6):
             for j in (0, 2, 4, 6):
-                m[i * 8 + j] = True
+                m[i * GRID + j] = True
     else:
         raise ValueError(f"unknown model profile: {model}")
     return m

@@ -14,6 +14,7 @@ from repro.core import analysis, harness, pcr
 from repro.core import experiments as cx
 from repro.core.dataset import read_metadata, record_paths
 from repro.train import experiments as tx
+from repro.train.model import EPOCHS
 
 
 def _patch_harness(monkeypatch, name, out_dir):
@@ -47,14 +48,10 @@ def test_each_figure_aggregates_its_dataset_once(spark, celeba_dir, monkeypatch)
         if hasattr(mod, "scan_size_stats"):
             monkeypatch.setattr(mod, "scan_size_stats", counting)
     figs = {
-        "fig5": lambda: cx.fig5_throughput(spark, "celeba_lite", 0.25),
-        "fig7": lambda: tx.fig7_time_to_accuracy(spark, "celeba_lite", 0.25,
-                                                 scans=(1, 10)),
-        "fig14": lambda: tx.fig14_autotune(spark, "celeba_lite", 0.25,
-                                           epochs=6, tune_every=2),
-        "fig16": lambda: tx.fig16_bandwidth_sweep(
-            spark, "celeba_lite", 0.25, bandwidth_fracs=(0.1, 2.0),
-            scans=(1, 10)),
+        "fig5": lambda: cx.fig5_throughput(spark, 0.25),
+        "fig7": lambda: tx.fig7_time_to_accuracy(spark, "celeba_lite", 0.25),
+        "fig14": lambda: tx.fig14_autotune(spark, 0.25),
+        "fig16": lambda: tx.fig16_bandwidth_sweep(spark, 0.25),
     }
     for name, run in figs.items():
         calls.clear()
@@ -64,8 +61,8 @@ def test_each_figure_aggregates_its_dataset_once(spark, celeba_dir, monkeypatch)
 
 def test_load_scan_data_shapes(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    data = tx.load_scan_data(spark, "celeba_lite", 0.25, scans=(1, 10))
-    assert set(data.X_by_scan) == {1, 10}
+    data = tx.load_scan_data(spark, "celeba_lite", 0.25)
+    assert list(data.X_by_scan) == list(analysis.TABLE_SCANS)
     assert data.X_by_scan[1].shape == data.X_by_scan[10].shape
     assert data.n_classes == 2
     assert len(data.y) == len(data.X_by_scan[1])
@@ -74,30 +71,30 @@ def test_load_scan_data_shapes(spark, celeba_dir, monkeypatch):
 
 def test_load_scan_data_standardized_per_scan(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    data = tx.load_scan_data(spark, "celeba_lite", 0.25, scans=(1, 10))
-    for g in (1, 10):
+    data = tx.load_scan_data(spark, "celeba_lite", 0.25)
+    for g in analysis.TABLE_SCANS:
         X = data.X_by_scan[g]
         assert np.abs(X.mean(axis=0)).max() < 1e-6
-        assert np.abs(X).max() < 25  # min_std floor prevents blowups
+        assert np.abs(X).max() < 25  # the MIN_STD floor prevents blowups
 
 
 def test_accuracy_curves_full_fidelity_learns(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    data = tx.load_scan_data(spark, "celeba_lite", 0.25, scans=(10,))
-    curves = tx.accuracy_curves(data, epochs=20)
-    assert len(curves[10]) == 20
+    data = tx.load_scan_data(spark, "celeba_lite", 0.25)
+    curves = tx.accuracy_curves(data)
+    assert len(curves[10]) == EPOCHS
     assert curves[10][-1] > 0.7
 
 
 def test_fig7_table_columns(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
     t = tx.fig7_time_to_accuracy(
-        spark, "celeba_lite", 0.25, models=("resnet_lite",), scans=(1, 10)
+        spark, "celeba_lite", 0.25, models=("resnet_lite",)
     )
     assert set(t.columns) >= {
         "dataset", "model", "scan", "final_acc", "epoch_s", "time_to_target_s"
     }
-    assert len(t) == 2
+    assert list(t["scan"]) == list(analysis.TABLE_SCANS)
     # Higher scans cost more per epoch.
     t = t.sort_values("scan")
     assert t["epoch_s"].is_monotonic_increasing
@@ -105,42 +102,52 @@ def test_fig7_table_columns(spark, celeba_dir, monkeypatch):
 
 def test_fig16_low_bandwidth_amplifies_scan_benefit(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    t = tx.fig16_bandwidth_sweep(
-        spark, "celeba_lite", 0.25, models=("resnet_lite",),
-        bandwidth_fracs=(0.1, 2.0), scans=(1, 10), target_frac=0.5,
-    )
-    lo = t[t["bandwidth_MiB_s"] == t["bandwidth_MiB_s"].min()]
-    hi = t[t["bandwidth_MiB_s"] == t["bandwidth_MiB_s"].max()]
+    t = tx.fig16_bandwidth_sweep(spark, 0.25)
+    assert len(t) == len(tx.MODELS) * len(tx.BANDWIDTH_FRACS) * len(analysis.TABLE_SCANS)
+    for model in tx.MODELS:
+        m = t[t["model"] == model]
+        lo = m[m["bandwidth_MiB_s"] == m["bandwidth_MiB_s"].min()]
+        hi = m[m["bandwidth_MiB_s"] == m["bandwidth_MiB_s"].max()]
 
-    def ratio(sub):
-        s1 = sub[sub["scan"] == 1]["time_to_target_s"].iloc[0]
-        s10 = sub[sub["scan"] == 10]["time_to_target_s"].iloc[0]
-        return s10 / s1
+        def ratio(sub):
+            s1 = sub[sub["scan"] == 1]["time_to_target_s"].iloc[0]
+            s10 = sub[sub["scan"] == 10]["time_to_target_s"].iloc[0]
+            return s10 / s1
 
-    # Scan 1's advantage is larger at low bandwidth (paper Fig 16).
-    assert ratio(lo) >= ratio(hi) - 1e-9
+        # Scan 1's advantage is larger at low bandwidth (paper Fig 16).
+        assert ratio(lo) >= ratio(hi) - 1e-9, model
 
 
 def test_fig6_similarity_ordered_by_fidelity(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
-    t = tx.fig6_gradient_similarity(
-        spark, "celeba_lite", 0.25, scans=(1, 5, 10), checkpoints=(3,),
-        probe_size=64,
-    )
+    t = tx.fig6_gradient_similarity(spark, 0.25)
+    assert list(t["epoch"]) == list(tx.CHECKPOINTS)
     row = t.iloc[0]
     assert row["scan_10"] == pytest.approx(1.0)
     assert row["scan_1"] <= row["scan_5"] + 0.05
 
 
 def test_median_rates_are_items_over_median_pass_time(monkeypatch):
-    """One untimed warm-up call of each pass, then round-robin timed
-    calls; each rate is the pass's items over its median timed call,
-    read from a fake clock."""
+    """One timed warm-up call of each pass sets its repeat count,
+    ``ceil(MIN_PASS_S / warm-up time)``; then round-robin timed passes of
+    that many calls. Each rate is a pass's items over its median timed
+    pass, read from a fake clock, and no timed pass is shorter than
+    ``MIN_PASS_S``."""
     clock = [0.0]
-    durations = {"a": iter([100.0, 3.0, 1.0, 2.0, 9.0, 4.0]),  # warm-up first
-                 "b": iter([50.0, 1.0, 2.0, 30.0, 0.5, 2.0])}
+    stamps = []  # every clock reading: warm-ups, then each timed pass
+    # a: 0.02 s warm-up -> 3 calls a pass; b: 0.06 s warm-up -> 1 call.
+    durations = {"a": iter([0.02,
+                            0.02, 0.03, 0.02,  0.02, 0.02, 0.02,
+                            0.025, 0.02, 0.02,  0.02, 0.02, 0.04,
+                            0.02, 0.02, 0.02]),
+                 "b": iter([0.06, 0.06, 0.07, 0.08, 0.06, 0.09])}
     calls = []
-    monkeypatch.setattr(cx.time, "perf_counter", lambda: clock[0])
+
+    def read_clock():
+        stamps.append(clock[0])
+        return clock[0]
+
+    monkeypatch.setattr(cx.time, "perf_counter", read_clock)
 
     def one_pass(key, items):
         calls.append(key)
@@ -149,9 +156,26 @@ def test_median_rates_are_items_over_median_pass_time(monkeypatch):
 
     rates = cx.median_rates({"a": lambda: one_pass("a", 12),
                              "b": lambda: one_pass("b", 5)})
-    assert cx.TIMED_PASSES == 5
-    assert rates == {"a": 12 / 3.0, "b": 5 / 2.0}
-    assert calls == ["a", "b"] * (1 + cx.TIMED_PASSES)
+    assert (cx.TIMED_PASSES, cx.MIN_PASS_S) == (5, 0.05)
+    assert calls == ["a", "b"] + (["a"] * 3 + ["b"]) * cx.TIMED_PASSES
+    # Timed passes of a: .07 .06 .065 .08 .06; of b: .06 .07 .08 .06 .09.
+    assert rates == pytest.approx({"a": 3 * 12 / 0.065, "b": 5 / 0.07})
+    pass_s = np.diff(stamps)[::2]  # each stamp pair brackets one call group
+    assert len(pass_s) == 2 * (1 + cx.TIMED_PASSES)
+    assert (pass_s[2:] >= cx.MIN_PASS_S - 1e-12).all()
+
+
+def test_fig24_reader_rows(spark, celeba_dir, monkeypatch):
+    _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
+    t = cx.fig24_reader(spark, 0.25).set_index("config")
+    scans = [f"scan_{g}" for g in analysis.TABLE_SCANS]
+    assert list(t.index) == scans + ["tfrecord", "file_per_image"]
+    assert (np.diff(t.loc[scans, "bytes_per_img"]) > 0).all()
+    assert (np.diff(t.loc[scans, "modeled_img_s"]) < 0).all()
+    # Per-image seeks: File-per-Image is an order of magnitude slower.
+    assert t.loc["file_per_image", "modeled_img_s"] * 10 <= t.loc["tfrecord", "modeled_img_s"]
+    measured = t.loc[scans + ["tfrecord"], "measured_img_s"].to_numpy()
+    assert np.isfinite(measured).all() and (measured > 0).all()
 
 
 def test_fig22_times_the_conversion_of_the_stored_records(spark, celeba_dir, monkeypatch):

@@ -11,8 +11,9 @@ from repro.iosim.pipeline import MODEL_RATES
 
 
 def test_cluster_rate_uses_paper_constants():
+    assert harness.N_NODES == 10
     assert harness.cluster_rate("resnet_lite") == 450.0 * harness.N_NODES
-    assert harness.cluster_rate("shufflenet_lite", 20) == 750.0 * 20
+    assert harness.cluster_rate("shufflenet_lite") == 750.0 * harness.N_NODES
 
 
 def test_reference_bandwidth_regime(spark, celeba_dir):

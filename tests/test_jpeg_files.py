@@ -205,6 +205,10 @@ def _cut_segment(data, marker):
     return data[: s.offset] + data[s.end :]
 
 
+def _sos(data, i):
+    return [s for s in markers.parse(data) if s.marker == markers.SOS][i]
+
+
 # Damaged headers of a 3-component progressive file, keyed by the error
 # each raises. A segment's payload starts 4 bytes after its marker.
 _DAMAGED = {
@@ -219,6 +223,12 @@ _DAMAGED = {
     "single-component": lambda p: _set_byte(p, _segment(p, markers.SOS).offset + 11, 1),
     # 200 more 16-bit codes than the DHT payload holds symbols for.
     "do not match": lambda p: _set_byte(p, _segment(p, markers.DHT).offset + 20, 200),
+    # The DC scan's tables are never defined.
+    "undefined DC Huffman table 0": lambda p: _cut_segment(p, markers.DHT),
+    # The first AC scan names AC table 15.
+    "undefined AC Huffman table 15": lambda p: _set_byte(p, _sos(p, 1).offset + 6, 0x0F),
+    # The luma quant table is never defined.
+    "undefined quant table 0": lambda p: _cut_segment(p, markers.DQT),
 }
 
 
@@ -227,6 +237,14 @@ def test_damaged_header_raises_value_error(color_pair, message):
     # ValueError, not assert: the checks hold under ``python -O`` too.
     with pytest.raises(ValueError, match=message):
         decode(_DAMAGED[message](color_pair[2]))
+
+
+def test_dc_only_scan_may_name_an_undefined_ac_table(color_pair):
+    # The DC-first scan (Se = 0) never reads an AC table, so naming AC
+    # table 15 for its first component changes nothing.
+    p = color_pair[2]
+    q = _set_byte(p, _sos(p, 0).offset + 6, 0x0F)
+    assert np.array_equal(decode(q), decode(p))
 
 
 def test_scan_spans_without_a_scan_raises_value_error(color_pair):

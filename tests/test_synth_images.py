@@ -18,8 +18,7 @@ def test_deterministic(name):
 def test_shapes_and_dtype(name):
     spec = SPECS[name]
     img, lab = generate_image(spec, 0)
-    expected = (spec.size, spec.size, 3) if spec.color else (spec.size, spec.size)
-    assert img.shape == expected
+    assert img.shape == (spec.size, spec.size, 3)
     assert img.dtype == np.uint8
     assert 0 <= lab["label"] < spec.n_classes
 

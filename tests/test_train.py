@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import collect_features, features_to_arrays
-from repro.train.autotune import autotune_train, static_train
+from repro.train.autotune import WARMUP_EPOCHS, autotune_train, static_train
 from repro.train.features import (
     BAND_OF_FEATURE,
     N_BAND_FEATURES,
@@ -14,7 +14,15 @@ from repro.train.features import (
     feature_mask,
 )
 from repro.train.gradsim import cosine_similarity, gradient_similarity, similarity_by_scan
-from repro.train.model import SoftmaxModel, softmax, standardize, train_sgd
+from repro.train.model import (
+    EPOCHS,
+    LR,
+    LR_DROPS,
+    SoftmaxModel,
+    softmax,
+    standardize,
+    train_sgd,
+)
 
 
 def _img(seed=0):
@@ -76,7 +84,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 6))
     y = rng.integers(0, 3, 20)
-    m = SoftmaxModel(6, 3, l2=1e-3, seed=1)
+    m = SoftmaxModel(6, 3)
     dW, db = m.gradient(X, y)
     eps = 1e-6
     for idx in [(0, 0), (2, 1), (5, 2)]:
@@ -99,8 +107,8 @@ def test_training_learns_separable_data():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((300, 5))
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
-    m = SoftmaxModel(5, 2, seed=0)
-    train_sgd(m, X, y, epochs=30, lr=0.5)
+    m = SoftmaxModel(5, 2)
+    train_sgd(m, X, y, epochs=EPOCHS, lr=LR)
     assert m.accuracy(X, y) > 0.9
 
 
@@ -108,10 +116,14 @@ def test_lr_drops_applied():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((50, 3))
     y = rng.integers(0, 2, 50)
-    m = SoftmaxModel(3, 2, seed=0)
-    out = train_sgd(m, X, y, epochs=4, lr=0.1, lr_drops=(2,),
-                    eval_fn=lambda mm, e: e)
-    assert out == [0, 1, 2, 3]
+    m = SoftmaxModel(3, 2)
+    rates = []  # the rate of each epoch's last step
+    real_step = m.step
+    m.step = lambda dW, db, lr: (rates.append(lr), real_step(dW, db, lr))
+    out = train_sgd(m, X, y, epochs=EPOCHS, lr=LR,
+                    eval_fn=lambda mm, e: rates[-1])
+    expected = [LR * 0.1 ** sum(e >= d for d in LR_DROPS) for e in range(EPOCHS)]
+    assert out == pytest.approx(expected)
 
 
 def test_standardize_roundtrip():
@@ -138,7 +150,7 @@ def test_gradient_similarity_identical_data_is_one():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((64, 8))
     y = rng.integers(0, 3, 64)
-    m = SoftmaxModel(8, 3, seed=0)
+    m = SoftmaxModel(8, 3)
     assert gradient_similarity(m, X, X.copy(), y) == pytest.approx(1.0)
 
 
@@ -146,8 +158,8 @@ def test_gradient_similarity_decreases_with_corruption():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((128, 8))
     y = (X[:, 0] > 0).astype(int)
-    m = SoftmaxModel(8, 2, seed=0)
-    train_sgd(m, X, y, epochs=5, lr=0.3)
+    m = SoftmaxModel(8, 2)
+    train_sgd(m, X, y, epochs=5, lr=LR)
     sims = []
     for sigma in [0.0, 0.5, 3.0]:
         Xc = X + rng.standard_normal(X.shape) * sigma
@@ -160,7 +172,7 @@ def test_similarity_by_scan_keys():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((32, 4))
     y = rng.integers(0, 2, 32)
-    m = SoftmaxModel(4, 2, seed=0)
+    m = SoftmaxModel(4, 2)
     out = similarity_by_scan(m, {1: X * 0.2, 5: X + 0.1, 10: X}, y)
     assert set(out) == {1, 5, 10}
     assert out[10] == pytest.approx(1.0)
@@ -183,33 +195,32 @@ def _scan_family(seed=0, n=400, d=12):
 
 def test_autotuner_starts_at_full_fidelity():
     by_scan, y = _scan_family()
-    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2, epochs=6,
-                         warmup_epochs=5, tune_every=20)
-    assert res.scan_per_epoch[:5] == [10] * 5
+    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2)
+    assert len(res.scan_per_epoch) == EPOCHS
+    assert res.scan_per_epoch[:WARMUP_EPOCHS] == [10] * WARMUP_EPOCHS
 
 
 def test_autotuner_picks_cheapest_acceptable_scan():
     by_scan, y = _scan_family()
-    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2, epochs=10,
-                         warmup_epochs=2, tune_every=20, threshold=0.8)
+    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2, threshold=0.8)
     chosen = res.scan_per_epoch[-1]
     assert chosen < 10  # something cheaper than full fidelity is fine
     assert res.similarity_log, "tuner must have probed"
-    probe = res.similarity_log[0]
+    probe = res.similarity_log[-1]  # the probe that chose the last scan
+    assert probe["chosen"] == chosen
     assert probe[f"scan_{chosen}"] >= 0.8
 
 
 def test_autotuner_threshold_one_keeps_full_fidelity():
     by_scan, y = _scan_family()
-    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2, epochs=8,
-                         warmup_epochs=2, tune_every=20, threshold=1.01)
+    res = autotune_train(by_scan, y, by_scan[10][:50], y[:50], 2, threshold=1.01)
     assert set(res.scan_per_epoch) == {10}
 
 
 def test_static_train_returns_accuracy_curve():
     by_scan, y = _scan_family()
-    accs = static_train(by_scan[10], y, by_scan[10][:50], y[:50], 2, epochs=8)
-    assert len(accs) == 8
+    accs = static_train(by_scan[10], y, by_scan[10][:50], y[:50], 2)
+    assert len(accs) == EPOCHS
     assert accs[-1] > 0.8
 
 
@@ -220,8 +231,8 @@ def test_training_beats_chance_full_fidelity(spark, celeba_dir):
     Xtr, ytr, Xte, yte = features_to_arrays(pdf)
     Xtr, mu, sd = standardize(Xtr)
     Xte, _, _ = standardize(Xte, mu, sd)
-    m = SoftmaxModel(Xtr.shape[1], 2, seed=0)
-    train_sgd(m, Xtr, ytr, epochs=30, lr=0.3)
+    m = SoftmaxModel(Xtr.shape[1], 2)
+    train_sgd(m, Xtr, ytr, epochs=EPOCHS, lr=LR)
     assert m.accuracy(Xte, yte) > 0.75
 
 
@@ -234,10 +245,10 @@ def test_fine_task_degrades_at_scan1_coarse_does_not(spark, cars_dir):
             pdf = collect_features(spark, cars_dir, g)
             Xtr, ytr, Xte, yte = features_to_arrays(pdf, label_col)
             nc = int(max(ytr.max(), yte.max()) + 1)
-            Xtr, mu, sd = standardize(Xtr, min_std=0.05)
+            Xtr, mu, sd = standardize(Xtr)
             Xte, _, _ = standardize(Xte, mu, sd)
-            m = SoftmaxModel(Xtr.shape[1], nc, seed=0)
-            train_sgd(m, Xtr, ytr, epochs=40, lr=0.3, lr_drops=(25, 35))
+            m = SoftmaxModel(Xtr.shape[1], nc)
+            train_sgd(m, Xtr, ytr, epochs=EPOCHS, lr=LR)
             accs[(label_col, g)] = m.accuracy(Xte, yte)
     gap_fine = accs[("label", 10)] - accs[("label", 1)]
     gap_coarse = accs[("make", 10)] - accs[("make", 1)]
