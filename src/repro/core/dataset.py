@@ -31,9 +31,8 @@ from repro import synth_images
 from repro.core import pcr
 from repro.formats import tfrecord
 from repro.jpeg import N_SCANS, decode
-from repro.jpeg.baseline import encode_baseline_from_coeffs
 from repro.jpeg.codec import forward
-from repro.jpeg.progressive import encode_progressive_from_coeffs
+from repro.jpeg.encoder import encode_baseline_from_coeffs, encode_progressive_from_coeffs
 from repro.train.features import extract_features
 
 _META_SCHEMA = (

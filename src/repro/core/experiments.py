@@ -6,7 +6,6 @@ live in ``repro.train.experiments``.
 """
 import filecmp
 import functools
-import math
 import os
 import statistics
 import tempfile
@@ -37,32 +36,41 @@ from repro.synth_images import SPECS
 
 ALL_DATASETS = list(SPECS)
 TIMED_PASSES = 5  # timed passes per wall-clock cell; the cell is their median
-MIN_PASS_S = 0.05  # seconds a timed pass lasts, at its warm-up call's speed
+MIN_PASS_S = 0.05  # seconds a timed pass lasts, at least, at its sizing pass's speed
 DECODE_IMAGES = 24  # images of each dataset's first record Table 2 decodes
 MSSIM_IMAGES = 12  # images of each dataset's first record Fig 13 scores
 STATIC_QUALITIES = (50, 75, 90, 95)  # Fig 22's static re-encode qualities
 
 
+def _timed(one_pass: Callable[[], int], n: int) -> tuple[int, float]:
+    """(items, seconds) of ``n`` calls of ``one_pass``."""
+    t0 = time.perf_counter()
+    items = sum(one_pass() for _ in range(n))
+    return items, time.perf_counter() - t0
+
+
 def median_rates(passes: dict[str, Callable[[], int]]) -> dict[str, float]:
     """Items/s of each pass, a call that processes and returns a fixed
-    number of items. One timed warm-up call of each sets its repeat
-    count, ``ceil(MIN_PASS_S / warm-up time)``, so that a timed pass of
-    that many calls outlasts the clock's noise; the rate is a pass's
-    items over the median time of its ``TIMED_PASSES`` timed passes. The
-    timed passes go round-robin, so every pass is timed across the same
-    window and a drift in host speed moves all of them alike."""
+    number of items. After one untimed warm-up call of each, its repeat
+    count starts at 1 and doubles until that many calls last
+    ``MIN_PASS_S`` (as ``timeit.Timer.autorange`` does), so that a timed
+    pass outlasts the clock's noise and a slow cold first call does not
+    shorten it; the rate is a pass's items over the median time of its
+    ``TIMED_PASSES`` timed passes. The timed passes go round-robin, so
+    every pass is timed across the same window and a drift in host speed
+    moves all of them alike."""
     repeats = {}
     for key, one_pass in passes.items():
-        t0 = time.perf_counter()
         one_pass()
-        repeats[key] = math.ceil(MIN_PASS_S / (time.perf_counter() - t0))
+        repeats[key] = 1
+        while _timed(one_pass, repeats[key])[1] < MIN_PASS_S:
+            repeats[key] *= 2
     times: dict[str, list[float]] = {key: [] for key in passes}
     items = {}
     for _ in range(TIMED_PASSES):
         for key, one_pass in passes.items():
-            t0 = time.perf_counter()
-            items[key] = sum(one_pass() for _ in range(repeats[key]))
-            times[key].append(time.perf_counter() - t0)
+            items[key], seconds = _timed(one_pass, repeats[key])
+            times[key].append(seconds)
     return {key: items[key] / statistics.median(times[key]) for key in passes}
 
 

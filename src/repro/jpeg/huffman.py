@@ -40,8 +40,9 @@ class HuffmanTable:
 
     bits: list[int]
     values: list[int]
-    _book: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False, compare=False)
-    _look: "Lookahead" = field(default=None, repr=False, compare=False)
+    _book: tuple[np.ndarray, np.ndarray] = field(
+        init=False, default=None, repr=False, compare=False)
+    _look: "Lookahead" = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bits) != MAX_CODE_LEN or sum(self.bits) != len(self.values):
@@ -142,15 +143,6 @@ def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
     # Symbols sorted by (code length, symbol value); drop the reserved one.
     order = sorted(used, key=lambda i: (codesize[i], i))
     return HuffmanTable(bits=bits[1 : MAX_CODE_LEN + 1], values=order)
-
-
-def optimal_tables(slots: list[int], hists: list[np.ndarray]) -> dict[int, HuffmanTable]:
-    """One optimal table per table slot, built from the summed symbol
-    histograms ``hists[i]`` of every ``i`` with ``slots[i]`` equal to it."""
-    return {
-        t: build_optimal_table(sum(h for s, h in zip(slots, hists) if s == t))
-        for t in sorted(set(slots))
-    }
 
 
 def magnitude_category(v) -> np.ndarray:

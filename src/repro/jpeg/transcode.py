@@ -8,7 +8,7 @@ encoder relies on (Section 5: "losslessly transform JPEG images into
 progressive JPEG images").
 """
 from .decoder import decode_to_coeffs
-from .progressive import encode_progressive_from_coeffs
+from .encoder import encode_progressive_from_coeffs
 
 
 def baseline_to_progressive(data: bytes) -> bytes:

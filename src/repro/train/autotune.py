@@ -7,7 +7,7 @@ the full-fidelity data, and switches to the *lowest* (cheapest) scan
 whose similarity is at or above the threshold (default 0.8). One
 hyperparameter, no validation data — as in the paper.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ TUNE_EVERY = 10  # epochs between similarity probes
 class AutotuneResult:
     scan_per_epoch: list[int]
     acc_per_epoch: list[float]
-    similarity_log: list[dict] = field(default_factory=list)
+    similarity_log: list[dict]
 
 
 def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,

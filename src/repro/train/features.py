@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.jpeg import dct
 from repro.jpeg.codec import plane_to_blocks, to_gray
-from repro.jpeg.progressive import SCRIPT_COLOR
+from repro.jpeg.encoder import SCRIPT_COLOR
 from repro.jpeg.quant import ZIGZAG
 
 # Zigzag band edges of the luma scans of the progressive script:

@@ -4,6 +4,7 @@ These exercise the same code paths as jobs/ but against the session
 fixtures (no full-scale dataset builds), asserting the *shape*
 properties that EXPERIMENTS.md records.
 """
+import itertools
 import os
 import shutil
 
@@ -127,21 +128,13 @@ def test_fig6_similarity_ordered_by_fidelity(spark, celeba_dir, monkeypatch):
     assert row["scan_1"] <= row["scan_5"] + 0.05
 
 
-def test_median_rates_are_items_over_median_pass_time(monkeypatch):
-    """One timed warm-up call of each pass sets its repeat count,
-    ``ceil(MIN_PASS_S / warm-up time)``; then round-robin timed passes of
-    that many calls. Each rate is a pass's items over its median timed
-    pass, read from a fake clock, and no timed pass is shorter than
-    ``MIN_PASS_S``."""
+def _fake_clock(monkeypatch, durations):
+    """Monkeypatch ``time.perf_counter`` with a clock that only moves when
+    a pass is called: ``durations[key]`` yields each call's seconds.
+    Returns (calls, stamps, one_pass): the keys called, every clock
+    reading, and ``one_pass(key, items)``."""
     clock = [0.0]
-    stamps = []  # every clock reading: warm-ups, then each timed pass
-    # a: 0.02 s warm-up -> 3 calls a pass; b: 0.06 s warm-up -> 1 call.
-    durations = {"a": iter([0.02,
-                            0.02, 0.03, 0.02,  0.02, 0.02, 0.02,
-                            0.025, 0.02, 0.02,  0.02, 0.02, 0.04,
-                            0.02, 0.02, 0.02]),
-                 "b": iter([0.06, 0.06, 0.07, 0.08, 0.06, 0.09])}
-    calls = []
+    stamps, calls = [], []
 
     def read_clock():
         stamps.append(clock[0])
@@ -154,15 +147,45 @@ def test_median_rates_are_items_over_median_pass_time(monkeypatch):
         clock[0] += next(durations[key])
         return items
 
+    return calls, stamps, one_pass
+
+
+def test_median_rates_are_items_over_median_pass_time(monkeypatch):
+    """One untimed warm-up call of each pass, then its repeat count
+    doubles from 1 until that many calls last ``MIN_PASS_S``; then
+    round-robin timed passes of that many calls. Each rate is a pass's
+    items over its median timed pass, read from a fake clock, and no
+    timed pass is shorter than ``MIN_PASS_S``."""
+    # a: sizing groups of 1, 2, 4 calls last .02 .04 .08 -> 4 calls a
+    # pass; b: its first sizing call lasts .06 -> 1 call.
+    durations = {"a": iter([0.02,
+                            0.02,  0.02, 0.02,  0.02, 0.02, 0.02, 0.02,
+                            0.02, 0.03, 0.02, 0.02,  0.02, 0.02, 0.025, 0.02,
+                            0.02, 0.02, 0.02, 0.04,  0.02, 0.02, 0.02, 0.02,
+                            0.02, 0.02, 0.02, 0.03]),
+                 "b": iter([0.06, 0.06, 0.06, 0.07, 0.08, 0.06, 0.09])}
+    calls, stamps, one_pass = _fake_clock(monkeypatch, durations)
     rates = cx.median_rates({"a": lambda: one_pass("a", 12),
                              "b": lambda: one_pass("b", 5)})
     assert (cx.TIMED_PASSES, cx.MIN_PASS_S) == (5, 0.05)
-    assert calls == ["a", "b"] + (["a"] * 3 + ["b"]) * cx.TIMED_PASSES
-    # Timed passes of a: .07 .06 .065 .08 .06; of b: .06 .07 .08 .06 .09.
-    assert rates == pytest.approx({"a": 3 * 12 / 0.065, "b": 5 / 0.07})
+    assert calls == (["a"] * (1 + 1 + 2 + 4) + ["b"] * 2
+                     + (["a"] * 4 + ["b"]) * cx.TIMED_PASSES)
+    # Timed passes of a: .09 .085 .10 .08 .09; of b: .06 .07 .08 .06 .09.
+    assert rates == pytest.approx({"a": 4 * 12 / 0.09, "b": 5 / 0.07})
     pass_s = np.diff(stamps)[::2]  # each stamp pair brackets one call group
-    assert len(pass_s) == 2 * (1 + cx.TIMED_PASSES)
-    assert (pass_s[2:] >= cx.MIN_PASS_S - 1e-12).all()
+    assert pass_s == pytest.approx([0.02, 0.04, 0.08, 0.06]
+                                   + [0.09, 0.06, 0.085, 0.07, 0.10, 0.08,
+                                      0.08, 0.06, 0.09, 0.09])
+
+
+def test_median_rates_cold_first_call_does_not_shorten_passes(monkeypatch):
+    # The first call is 10x slower than the rest (cold caches, lazy
+    # imports): sized from it, a timed pass would last 2 warm calls.
+    durations = {"a": itertools.chain([0.03], itertools.repeat(0.003))}
+    _, stamps, one_pass = _fake_clock(monkeypatch, durations)
+    cx.median_rates({"a": lambda: one_pass("a", 1)})
+    timed_s = np.diff(stamps)[::2][-cx.TIMED_PASSES:]
+    assert (timed_s >= cx.MIN_PASS_S - 1e-12).all(), timed_s
 
 
 def test_fig24_reader_rows(spark, celeba_dir, monkeypatch):

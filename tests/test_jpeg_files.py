@@ -12,16 +12,18 @@ from repro.jpeg import (
     decode,
     decode_to_coeffs,
     encode_baseline,
-    encode_progressive,
     scan_spans,
     truncate_to_scans,
 )
 from repro.jpeg import markers
-from repro.jpeg.baseline import encode_baseline_from_coeffs
 from repro.jpeg.codec import CoeffImage, Component, forward
 from repro.jpeg.decoder import _parse_dht
+from repro.jpeg.encoder import (
+    encode_baseline_from_coeffs,
+    encode_progressive_from_coeffs,
+    script_for,
+)
 from repro.jpeg.huffman import segment_words
-from repro.jpeg.progressive import encode_progressive_from_coeffs, script_for
 from repro.jpeg.quant import tables_for_quality
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS, generate_image
@@ -41,7 +43,7 @@ def _image(h=64, w=64, seed=0, color=True, noise=7.0):
 def color_pair():
     img = _image()
     b = encode_baseline(img, 90)
-    p = encode_progressive(img, 90)
+    p = encode_progressive_from_coeffs(forward(img, 90))
     return img, b, p
 
 
@@ -144,7 +146,7 @@ def test_truncated_decodes_without_error(color_pair, g):
 def test_grayscale_roundtrip():
     img = _image(color=False, seed=5)
     b = encode_baseline(img, 85)
-    p = encode_progressive(img, 85)
+    p = encode_progressive_from_coeffs(forward(img, 85))
     assert np.array_equal(decode(b), decode(p))
     _, spans = scan_spans(p)
     assert len(spans) == N_SCANS
@@ -152,7 +154,7 @@ def test_grayscale_roundtrip():
 
 def test_non_multiple_of_8_dimensions():
     img = _image(h=37, w=53, seed=7)
-    for data in (encode_baseline(img, 90), encode_progressive(img, 90)):
+    for data in (encode_baseline(img, 90), encode_progressive_from_coeffs(forward(img, 90))):
         out = decode(data)
         assert out.shape == img.shape
 
@@ -160,7 +162,7 @@ def test_non_multiple_of_8_dimensions():
 @pytest.mark.parametrize("quality", [50, 75, 92, 100])
 def test_quality_sweep_decodes(quality):
     img = _image(seed=quality)
-    d = decode(encode_progressive(img, quality))
+    d = decode(encode_progressive_from_coeffs(forward(img, quality)))
     mse = np.mean((d.astype(float) - img.astype(float)) ** 2)
     assert 10 * np.log10(255**2 / mse) > 20
 
@@ -186,7 +188,7 @@ def test_progressive_size_within_10pct_of_baseline(color_pair):
 def test_eoi_termination_trick():
     # Appending EOI to a prefix is what makes partial reads decodable.
     img = _image(seed=9)
-    p = encode_progressive(img, 90)
+    p = encode_progressive_from_coeffs(forward(img, 90))
     t = truncate_to_scans(p, 3)
     assert t[-2:] == markers.EOI_BYTES
     decode(t)
@@ -296,7 +298,7 @@ def test_decode_matches_forward_transform_oracle(h, w, quality, color, noise, se
     img = _image(h, w, seed, color, noise)
     ref = [c.coeffs for c in forward(img, quality).components]
     assert all(np.array_equal(a, r) for a, r in zip(_coeffs(encode_baseline(img, quality)), ref))
-    p = encode_progressive(img, quality)
+    p = encode_progressive_from_coeffs(forward(img, quality))
     keep = [np.zeros(64, dtype=bool) for _ in ref]
     for g, (comp, ss, se, _) in enumerate(script_for(len(ref)), start=1):
         for c in range(len(ref)) if comp is None else [comp]:
@@ -314,7 +316,7 @@ def test_golden_coefficient_digest():
     for i in range(4):
         b, p = _celeba_pair(i)
         streams += [truncate_to_scans(p, g) for g in (1, 5, 10)] + [b]
-    p = encode_progressive(_image(), 90)
+    p = encode_progressive_from_coeffs(forward(_image(), 90))
     _, spans = scan_spans(p)
     streams.append(p[: (spans[3][0] + spans[3][1]) // 2] + markers.EOI_BYTES)
     for data in streams:
@@ -392,6 +394,19 @@ def test_golden_entropy_coder_digest():
         h.update(encode_baseline_from_coeffs(ci))
         h.update(encode_progressive_from_coeffs(ci))
     assert h.hexdigest() == "3a6821f19edd9e21890a7e2e6998461ea3ea0ac564654723e292e526d48d7cad"
+
+
+@pytest.mark.parametrize("encode", [encode_baseline_from_coeffs, encode_progressive_from_coeffs])
+def test_entropy_coder_inputs_decode_to_their_coefficients(encode):
+    # The files the golden digest pins decode back to exactly their input.
+    for ci in _entropy_coder_inputs():
+        got = decode_to_coeffs(encode(ci))
+        assert (got.height, got.width) == (ci.height, ci.width)
+        for a, c in zip(got.components, ci.components, strict=True):
+            assert (a.comp_id, a.qtab_id) == (c.comp_id, c.qtab_id)
+            assert np.array_equal(a.coeffs, c.coeffs)
+        for qa, qc in zip(got.qtables, ci.qtables, strict=True):
+            assert np.array_equal(qa, qc)
 
 
 @pytest.mark.parametrize("nonzero_block", [None, 32_900])

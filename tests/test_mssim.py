@@ -59,10 +59,12 @@ def test_score_in_unit_interval():
 
 
 def test_jpeg_truncation_scores_monotone():
-    from repro.jpeg import encode_progressive, decode, truncate_to_scans
+    from repro.jpeg import decode, truncate_to_scans
+    from repro.jpeg.codec import forward
+    from repro.jpeg.encoder import encode_progressive_from_coeffs
 
     a = np.stack([_img(0), _img(1), _img(2)], axis=-1)
-    p = encode_progressive(a, 90)
+    p = encode_progressive_from_coeffs(forward(a, 90))
     full = decode(p)
     scores = [
         msssim(decode(truncate_to_scans(p, g)), full) for g in [1, 2, 5, 10]

@@ -58,10 +58,12 @@ def test_feature_masks():
 
 def test_band_features_respond_to_truncation():
     # Dropping high scans must zero the high-band features (up to quant).
-    from repro.jpeg import encode_progressive, decode, truncate_to_scans
+    from repro.jpeg import decode, truncate_to_scans
+    from repro.jpeg.codec import forward
+    from repro.jpeg.encoder import encode_progressive_from_coeffs
 
     img = _img(3)
-    p = encode_progressive(img, 95)
+    p = encode_progressive_from_coeffs(forward(img, 95))
     f_full = extract_features(decode(p))
     f_s1 = extract_features(decode(truncate_to_scans(p, 1)))
     hi = N_PIXEL_FEATURES + np.nonzero(BAND_OF_FEATURE >= 4)[0]
