@@ -1,7 +1,9 @@
 """Spark pipelines: dataset -> PCR directory, PCR directory -> features.
 
-Every record-parallel stage is an ``fn(r)`` run by ``map_records``, one
-Spark task per record r. Record r of k holds images r*n//k to (r+1)*n//k.
+Every record-parallel stage is an ``fn(r)`` run by ``map_records``: one
+wave of ``min(defaultParallelism, records)`` Spark tasks, each calling
+``fn`` on a contiguous, ascending slice of record indices. Record r of k
+holds images r*n//k to (r+1)*n//k.
 
 Encoding (paper §5 "Encoding"): record r's task generates its images,
 quantizes each once with ``forward`` and entropy-codes those
@@ -13,9 +15,9 @@ transcode of the twin gives (Fig 22 re-checks this). Per-image metadata
 DataFrame and is persisted to a parquet sidecar, playing the paper's
 SQLite/RocksDB metadata role.
 
-Decoding (paper §5 "Decoding"/"Loader"): in ``load_features`` record r's
-task does its single prefix read at the requested scan group, decodes
-each image and extracts model features. ``collect_features`` attaches
+Decoding (paper §5 "Decoding"/"Loader"): in ``load_features`` the task
+holding record r does r's single prefix read at the requested scan
+group, decodes each image and extracts model features. ``collect_features`` attaches
 the sidecar's task labels and split on the driver — the
 variable-fidelity read path this reproduction is about.
 """
@@ -67,15 +69,19 @@ def metadata_path(out_dir: str) -> str:
 
 def map_records(spark: SparkSession, n_records: int,
                 fn: Callable[[int], pd.DataFrame], schema: str) -> DataFrame:
-    """One Spark task per record index ``r`` in ``range(n_records)``, which
-    yields ``fn(r)``: a pandas frame of record ``r``'s rows, in order, with
-    no shuffle. Which task handles which records is decided here alone."""
+    """``fn(r)`` for every record index ``r`` in ``range(n_records)``: a
+    pandas frame of record ``r``'s rows. ``k = min(defaultParallelism,
+    n_records)`` Spark tasks run as one wave; task i calls ``fn`` on the
+    contiguous slice ``i*n_records//k`` up to ``(i+1)*n_records//k`` in
+    ascending order, so rows come out in record order with no shuffle.
+    Which task handles which records is decided here alone."""
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
             for r in b["id"]:
                 yield fn(int(r))
 
-    ids = spark.range(0, n_records, numPartitions=n_records)
+    k = min(spark.sparkContext.defaultParallelism, n_records)
+    ids = spark.range(0, n_records, numPartitions=k)
     return ids.mapInPandas(run, schema=schema)
 
 
@@ -84,7 +90,8 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
     """Encode a synthetic dataset into PCR + TFRecord files under ``out_dir``.
 
     Record ``r`` of ``k`` holds images ``r*n//k`` up to ``(r+1)*n//k`` and
-    is written as ``record_{r:04d}.pcr`` (+ ``.tfrec``) by one Spark task.
+    is written as ``record_{r:04d}.pcr`` (+ ``.tfrec``) by the
+    ``map_records`` task whose slice holds ``r``.
     Writes the per-image metadata to ``metadata_path(out_dir)``.
     """
     spec = synth_images.SPECS[name]
@@ -129,8 +136,9 @@ def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
 def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFrame:
     """Decode a dataset's PCRs at a scan group and extract features, in Spark.
 
-    One task per record file (``map_records``) does the record's single
-    prefix read at ``scan_group``. Rows come out in (record, pos) order.
+    Each ``map_records`` task decodes a contiguous slice of record files,
+    one prefix read at ``scan_group`` per record. Rows come out in
+    (record, pos) order.
     """
     paths = record_paths(out_dir)
 

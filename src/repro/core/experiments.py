@@ -6,6 +6,7 @@ live in ``repro.train.experiments``.
 """
 import filecmp
 import functools
+import math
 import os
 import statistics
 import tempfile
@@ -36,7 +37,7 @@ from repro.synth_images import SPECS
 
 ALL_DATASETS = list(SPECS)
 TIMED_PASSES = 5  # timed passes per wall-clock cell; the cell is their median
-MIN_PASS_S = 0.05  # seconds a timed pass lasts, at least, at its sizing pass's speed
+MIN_PASS_S = 0.05  # seconds a timed pass lasts, at least, at its fastest sizing speed
 DECODE_IMAGES = 24  # images of each dataset's first record Table 2 decodes
 MSSIM_IMAGES = 12  # images of each dataset's first record Fig 13 scores
 STATIC_QUALITIES = (50, 75, 90, 95)  # Fig 22's static re-encode qualities
@@ -51,20 +52,27 @@ def _timed(one_pass: Callable[[], int], n: int) -> tuple[int, float]:
 
 def median_rates(passes: dict[str, Callable[[], int]]) -> dict[str, float]:
     """Items/s of each pass, a call that processes and returns a fixed
-    number of items. After one untimed warm-up call of each, its repeat
-    count starts at 1 and doubles until that many calls last
-    ``MIN_PASS_S`` (as ``timeit.Timer.autorange`` does), so that a timed
-    pass outlasts the clock's noise and a slow cold first call does not
-    shorten it; the rate is a pass's items over the median time of its
+    number of items. After one untimed warm-up call of each, groups of
+    1, 2, 4, ... calls are timed until one lasts ``MIN_PASS_S`` (as
+    ``timeit.Timer.autorange`` does); a timed pass is then that many
+    calls, or more if the fastest per-call time of any group needs more
+    to last ``MIN_PASS_S``. So a timed pass outlasts the clock's noise,
+    and neither a slow cold first call nor one slow sizing group
+    shortens it. The rate is a pass's items over the median time of its
     ``TIMED_PASSES`` timed passes. The timed passes go round-robin, so
     every pass is timed across the same window and a drift in host speed
     moves all of them alike."""
     repeats = {}
     for key, one_pass in passes.items():
         one_pass()
-        repeats[key] = 1
-        while _timed(one_pass, repeats[key])[1] < MIN_PASS_S:
-            repeats[key] *= 2
+        n, fastest = 1, float("inf")
+        while True:
+            seconds = _timed(one_pass, n)[1]
+            fastest = min(fastest, seconds / n)
+            if seconds >= MIN_PASS_S:
+                break
+            n *= 2
+        repeats[key] = max(n, math.ceil(MIN_PASS_S / fastest))
     times: dict[str, list[float]] = {key: [] for key in passes}
     items = {}
     for _ in range(TIMED_PASSES):
@@ -175,12 +183,14 @@ def fig13_mssim(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
 def fig22_encoding_times(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     """Fig 22/§A.4: PCR conversion time vs re-encoding at static qualities.
 
-    One Spark task per record (``map_records``) reads the record's
-    baseline TFRecord twin and times, on those images, the paper's PCR
-    conversion (the lossless baseline -> progressive transcode of every
-    image, then writing the PCR file) and the decode + re-encode at each
-    of the ``STATIC_QUALITIES``, the multi-fidelity alternative the paper
-    compares against. Both run in the same task, so under the same load.
+    ``map_records`` calls ``time_record`` once per record, in one wave of
+    at most ``defaultParallelism`` tasks over contiguous record slices.
+    Each call reads the record's baseline TFRecord twin and times, on
+    those images, the paper's PCR conversion (the lossless baseline ->
+    progressive transcode of every image, then writing the PCR file) and
+    the decode + re-encode at each of the ``STATIC_QUALITIES``, the
+    multi-fidelity alternative the paper compares against. Both run in
+    the same call, so under the same load.
     The converted file must equal the stored ``.pcr`` byte for byte, else
     the task raises. Sizes show the space amplification story.
     """

@@ -188,6 +188,21 @@ def test_median_rates_cold_first_call_does_not_shorten_passes(monkeypatch):
     assert (timed_s >= cx.MIN_PASS_S - 1e-12).all(), timed_s
 
 
+def test_median_rates_slow_sizing_group_does_not_shorten_passes(monkeypatch):
+    # Calls last .02 s, but one call of the 2-call sizing group lasts
+    # .05: that group (.07) ends the doubling. Sized from it, a timed
+    # pass would be 2 calls (.04 s); the 1-call group's .02 s per call
+    # sizes it at ceil(.05 / .02) = 3 calls.
+    durations = {"a": itertools.chain([0.02, 0.02, 0.02, 0.05],
+                                      itertools.repeat(0.02))}
+    calls, stamps, one_pass = _fake_clock(monkeypatch, durations)
+    cx.median_rates({"a": lambda: one_pass("a", 1)})
+    assert len(calls) == 1 + 1 + 2 + 3 * cx.TIMED_PASSES
+    timed_s = np.diff(stamps)[::2][-cx.TIMED_PASSES:]
+    assert timed_s == pytest.approx([0.06] * cx.TIMED_PASSES)
+    assert (timed_s >= cx.MIN_PASS_S - 1e-12).all(), timed_s
+
+
 def test_fig24_reader_rows(spark, celeba_dir, monkeypatch):
     _patch_harness(monkeypatch, "celeba_lite", celeba_dir)
     t = cx.fig24_reader(spark, 0.25).set_index("config")

@@ -13,6 +13,7 @@ from repro.core.dataset import (
     dataset_summary,
     features_to_arrays,
     load_features,
+    map_records,
     metadata_path,
     read_metadata,
     record_paths,
@@ -101,18 +102,38 @@ def test_tfrecord_path_swaps_only_the_suffix():
     assert tfrecord_path("/d/runs.pcr/record_0000.pcr") == "/d/runs.pcr/record_0000.tfrec"
 
 
+@pytest.mark.parametrize("n_of_p", [lambda p: 1, lambda p: p, lambda p: 2 * p + 1],
+                         ids=["1", "parallelism", "2*parallelism+1"])
+def test_map_records_one_wave_of_contiguous_slices(spark, n_of_p):
+    """min(defaultParallelism, n) non-empty partitions whose ids ascend
+    without a gap, each id yielded once."""
+    p = spark.sparkContext.defaultParallelism
+    n = n_of_p(p)
+    df = map_records(spark, n, lambda r: pd.DataFrame({"r": [r]}), "r long")
+    parts = [[row["r"] for row in part] for part in df.rdd.glom().collect()]
+    assert len(parts) == min(p, n)
+    assert all(parts), parts
+    assert all(part == list(range(part[0], part[0] + len(part))) for part in parts)
+    assert sorted(r for part in parts for r in part) == list(range(n))
+
+
 @pytest.mark.parametrize("dataset", ["celeba_dir", "cars_dir"])
-def test_load_features_one_record_per_partition(spark, request, dataset):
-    """One task per record file, holding all of that record's rows, and no
-    shuffle anywhere in the executed plan."""
+def test_load_features_one_task_wave(spark, request, dataset):
+    """min(defaultParallelism, records) tasks, each holding a contiguous
+    slice of whole records in (record, pos) order, and no shuffle
+    anywhere in the executed plan."""
     out = request.getfixturevalue(dataset)
     df = load_features(spark, out, 1)
     parts = df.rdd.glom().collect()
     paths = record_paths(out)
-    assert [{r["record"] for r in part} for part in parts] == [{p} for p in paths]
-    assert [[r["pos"] for r in part] for part in parts] == [
-        list(range(pcr.read_index(p).n_images)) for p in paths
-    ]
+    assert len(parts) == min(spark.sparkContext.defaultParallelism, len(paths))
+    # Read partition after partition, the rows are every record's rows in
+    # (record, pos) order; no partition is empty or shares a record.
+    flat = [(r["record"], r["pos"]) for part in parts for r in part]
+    assert flat == [(p, i) for p in paths
+                    for i in range(pcr.read_index(p).n_images)]
+    records = [{r["record"] for r in part} for part in parts]
+    assert all(records) and sum(map(len, records)) == len(paths), records
     assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
 
 
