@@ -14,7 +14,7 @@ predicted rates (W / mean size, capped at compute) closely match measured."""
 def run(spark) -> str:
     out = []
     for model in ("resnet_lite", "shufflenet_lite"):
-        t = fig5_throughput(spark, _job.arg_sf(), model)
+        t = fig5_throughput(spark, model, _job.arg_sf())
         out.append(f"## {model} (imagenet_lite)\n\n" + fmt_table(t))
     return "# Fig 5/15 — training rate per scan (ours)\n\n" + "\n\n".join(out) + "\n\n" + PAPER
 

@@ -1,19 +1,16 @@
-"""Analysis over PCR metadata: Table 1 ratios, Fig 8 sizes, speedups.
+"""Aggregations of the PCR metadata sidecar: Table 1 ratios, Fig 8 sizes.
 
-``scan_size_stats`` is the one Spark aggregation of the metadata
-sidecar's per-scan means (oracle-checked against DuckDB in tests);
-``size_reduction_table``, ``speedup_table`` and
-``harness.reference_bandwidth`` are arithmetic on its row, so a caller
-aggregates a dataset once and passes the row down. ``cumulative_bytes(g)``
-counts header + scans 1..g per image — the exact bytes the PCR loader
-reads for that image at fidelity g.
+``scan_size_stats`` is the one Spark aggregation of the sidecar's
+per-scan means (oracle-checked against DuckDB in tests);
+``size_reduction_table`` and the cluster model in ``repro.iosim`` are
+arithmetic on its row, so a caller aggregates a dataset once and passes
+the row down. ``cum_g_bytes`` counts header + scans 1..g per image — the
+exact bytes the PCR loader reads for that image at fidelity g.
 """
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.formats import tfrecord
-from repro.iosim.pipeline import system_throughput
 from repro.jpeg import N_SCANS
 
 # The scan groups the paper's tables and training figures report.
@@ -55,28 +52,6 @@ def size_reduction_table(stats: pd.Series) -> dict:
     }
     row["mean_size_bytes"] = float(full)
     return row
-
-
-def speedup_table(stats: pd.Series, compute_rate: float,
-                  bandwidth: float) -> pd.DataFrame:
-    """Predicted cluster throughput per scan group and for TFRecord (Fig 5
-    'Predicted' series), indexed by config ``scan_1..scan_10, tfrecord``.
-
-    Applies Lemma A.2/A.4, X_g = min(compute_rate, W / E[s(x, g)]); a
-    TFRecord image costs its baseline JPEG plus the record framing.
-    """
-    mean_bytes = {f"scan_{g}": stats[f"mean_cum_{g}"] for g in range(1, N_SCANS + 1)}
-    mean_bytes["tfrecord"] = stats["mean_baseline"] + tfrecord.RECORD_OVERHEAD
-    return pd.DataFrame(
-        [
-            {
-                "config": config,
-                "mean_bytes": float(b),
-                "predicted_rate": system_throughput(bandwidth, float(b), compute_rate),
-            }
-            for config, b in mean_bytes.items()
-        ]
-    ).set_index("config")
 
 
 def scan_size_distribution(meta: DataFrame) -> pd.DataFrame:

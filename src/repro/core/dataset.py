@@ -158,15 +158,20 @@ def collect_features(spark: SparkSession, out_dir: str,
                      scan_group: int) -> pd.DataFrame:
     """Features joined with metadata, collected to pandas (small datasets).
 
-    The metadata sidecar is joined on the driver on (record, pos); the
-    result carries all task labels (label/make/is_zero) and the
-    train/test split, one row per image in (record, pos) order.
+    The metadata sidecar is joined on the driver on the record's file
+    name and pos, so a moved or copied dataset directory still loads;
+    ``record`` is the ``record_paths`` string. The result carries all
+    task labels (label/make/is_zero) and the train/test split, one row
+    per image in (record, pos) order.
     """
     feats = load_features(spark, out_dir, scan_group).toPandas()
     meta = pd.read_parquet(
         metadata_path(out_dir),
         columns=["record", "pos", "idx", "make", "is_zero", "is_test"],
     )
+    # The sidecar keeps the paths the build wrote: key its rows by file
+    # name to this directory's record_paths strings.
+    meta["record"] = [os.path.join(out_dir, os.path.basename(p)) for p in meta["record"]]
     pdf = feats.merge(meta, on=["record", "pos"], validate="one_to_one")
     if not len(pdf) == len(feats) == len(meta):
         raise ValueError(f"{out_dir}: images and metadata rows do not match")

@@ -24,13 +24,12 @@ from repro.core.analysis import (
     scan_size_distribution,
     scan_size_stats,
     size_reduction_table,
-    speedup_table,
 )
 from repro.core.dataset import (dataset_summary, map_records, read_metadata,
                                 record_paths, tfrecord_path)
 from repro.formats import tfrecord
-from repro.iosim.pipeline import simulate_training
-from repro.iosim.storage import MiB, fpi_epoch_time, read_time
+from repro.iosim import (MiB, cluster_rate, fpi_epoch_time, read_time,
+                         reference_bandwidth, simulate_training, speedup_table)
 from repro.jpeg import N_SCANS, baseline_to_progressive, decode, encode_baseline
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS
@@ -129,20 +128,20 @@ def table3_dataset_summary(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame
     )
 
 
-def fig5_throughput(spark: SparkSession, sf: float = 1.0,
-                    model: str = "resnet_lite") -> pd.DataFrame:
+def fig5_throughput(spark: SparkSession, model: str,
+                    sf: float = 1.0) -> pd.DataFrame:
     """Fig 5/15/24-middle: imagenet_lite's cluster training rate per
-    scan, predicted vs event-simulated, plus the TFRecord baseline row."""
+    scan for ``model``, predicted vs event-simulated, plus the TFRecord
+    baseline row."""
     out = harness.get_or_build(spark, "imagenet_lite", sf)
     stats = scan_size_stats(read_metadata(spark, out))
-    W = harness.reference_bandwidth(stats)
-    rate = harness.cluster_rate(model)
-    df = speedup_table(stats, compute_rate=rate, bandwidth=W).reset_index()
+    W = reference_bandwidth(stats)
+    df = speedup_table(stats, model, W).reset_index()
     df["simulated_rate"] = [
         simulate_training(
             n_records=64,
             images_per_record=SPECS["imagenet_lite"].images_per_record,
-            mean_image_bytes=b, bandwidth=W, compute_rate=rate,
+            mean_image_bytes=b, bandwidth=W, compute_rate=cluster_rate(model),
         ).throughput
         for b in df["mean_bytes"]
     ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
-from repro.train.model import EPOCHS, LR, LR_DROPS, SEED, SoftmaxModel, train_sgd
+from repro.train.model import EPOCHS, LR, SEED, SoftmaxModel, step_decay, train_sgd
 
 PROBE_SIZE = 2560  # training samples each similarity probe scores
 WARMUP_EPOCHS = 5  # epochs at full fidelity before the first probe
@@ -37,10 +37,7 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
     rng = np.random.default_rng(SEED)
     scan = full_scan
     scans, accs, sims = [], [], []
-    cur_lr = LR
-    for epoch in range(EPOCHS):
-        if epoch in LR_DROPS:
-            cur_lr *= 0.1
+    for epoch, cur_lr in enumerate(step_decay(LR, EPOCHS)):
         if epoch >= WARMUP_EPOCHS and (epoch - WARMUP_EPOCHS) % TUNE_EVERY == 0:
             probe = rng.choice(len(y), size=min(PROBE_SIZE, len(y)), replace=False)
             score = similarity_by_scan(

@@ -2,10 +2,10 @@
 
 Features are extracted once per (dataset, scan) through the Spark PCR
 loader and cached in-process; training sweeps are then cheap numpy SGD.
-Wall-clock *cluster* time is simulated with the iosim pipeline model
-using the paper's own hardware constants (see harness docstring) — the
-paper's evaluation axis is time-to-accuracy, i.e. accuracy curves
-composed with per-epoch I/O time.
+*Cluster* time comes from the paper's cluster model (``repro.iosim``):
+each figure passes a dataset's ``scan_size_stats`` row and a bandwidth
+to ``iosim.seconds_per_epoch``. The paper's evaluation axis is
+time-to-accuracy, i.e. accuracy curves composed with per-epoch I/O time.
 """
 from dataclasses import dataclass
 
@@ -14,10 +14,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import harness
-from repro.core.analysis import TABLE_SCANS, scan_size_stats, speedup_table
+from repro.core.analysis import TABLE_SCANS, scan_size_stats
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
-from repro.iosim.pipeline import time_to_accuracy
-from repro.iosim.storage import MiB
+from repro.iosim import MiB, reference_bandwidth, seconds_per_epoch, time_to_accuracy
 from repro.train.autotune import PROBE_SIZE, autotune_train, static_train
 from repro.train.features import feature_mask
 from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
@@ -79,20 +78,6 @@ def accuracy_curves(data: ScanData) -> dict[int, list[float]]:
     }
 
 
-def seconds_per_epoch(stats: pd.Series, model: str,
-                      bandwidth: float | None = None) -> pd.Series:
-    """Simulated cluster epoch time per config (``scan_1..scan_10``,
-    ``tfrecord``): the dataset's images over the Lemma A.4 rate.
-
-    ``stats`` is the dataset's ``scan_size_stats`` row; ``bandwidth``
-    defaults to ``harness.reference_bandwidth``.
-    """
-    if bandwidth is None:
-        bandwidth = harness.reference_bandwidth(stats)
-    rates = speedup_table(stats, harness.cluster_rate(model), bandwidth)
-    return stats["n_images"] / rates["predicted_rate"]
-
-
 def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
                           models=MODELS,
                           label_col: str = "label") -> pd.DataFrame:
@@ -103,11 +88,12 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
     """
     out = harness.get_or_build(spark, dataset, sf)
     stats = scan_size_stats(read_metadata(spark, out))
+    W = reference_bandwidth(stats)
     rows = []
     for model in models:
         data = load_scan_data(spark, dataset, sf, label_col, model)
         curves = accuracy_curves(data)
-        spe = seconds_per_epoch(stats, model)
+        spe = seconds_per_epoch(stats, model, W)
         target = TARGET_FRAC * curves[10][-1]
         for g in TABLE_SCANS:
             accs = curves[g]
@@ -165,8 +151,8 @@ def fig14_autotune(spark: SparkSession, sf: float = 1.0,
     """
     data = load_scan_data(spark, "imagenet_lite", sf)
     out = harness.get_or_build(spark, "imagenet_lite", sf)
-    spe = seconds_per_epoch(scan_size_stats(read_metadata(spark, out)),
-                            "resnet_lite")
+    stats = scan_size_stats(read_metadata(spark, out))
+    spe = seconds_per_epoch(stats, "resnet_lite", reference_bandwidth(stats))
     res = autotune_train(data.X_by_scan, data.y, data.Xte_by_scan[10],
                          data.yte, data.n_classes, threshold)
     rows = [
@@ -212,7 +198,7 @@ def fig16_bandwidth_sweep(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
     """
     out = harness.get_or_build(spark, "imagenet_lite", sf)
     stats = scan_size_stats(read_metadata(spark, out))
-    W_ref = harness.reference_bandwidth(stats)
+    W_ref = reference_bandwidth(stats)
     rows = []
     for model in MODELS:
         data = load_scan_data(spark, "imagenet_lite", sf, model=model)
@@ -220,7 +206,7 @@ def fig16_bandwidth_sweep(spark: SparkSession, sf: float = 1.0) -> pd.DataFrame:
         target = TARGET_FRAC * curves[10][-1]
         for frac in BANDWIDTH_FRACS:
             W = frac * W_ref
-            spe = seconds_per_epoch(stats, model, bandwidth=W)
+            spe = seconds_per_epoch(stats, model, W)
             for g in TABLE_SCANS:
                 rows.append(
                     {

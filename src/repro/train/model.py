@@ -7,6 +7,7 @@ three exactly and cheaply; the DESIGN.md table explains why this
 substitution preserves the evaluated behaviour.
 """
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -78,22 +79,27 @@ def standardize(X: np.ndarray, mean=None, std=None):
     return (X - mean) / std, mean, std
 
 
+def step_decay(lr: float, epochs: int) -> Iterator[float]:
+    """The rate of each of ``epochs`` epochs: ``lr``, dropped 10x at each
+    epoch in ``LR_DROPS`` (the paper's step decay)."""
+    for epoch in range(epochs):
+        if epoch in LR_DROPS:
+            lr *= 0.1
+        yield lr
+
+
 def train_sgd(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,
               epochs: int, lr: float,
               seed: int | np.random.Generator = SEED,
               eval_fn=None) -> list:
-    """Minibatch SGD from rate ``lr``, dropped 10x at each epoch in
-    ``LR_DROPS`` (the paper's step decay).
+    """Minibatch SGD at the ``step_decay`` rates from ``lr``.
 
     ``eval_fn(model, epoch)`` is called after every epoch; its results
     are returned as a list (e.g. test accuracy per epoch).
     """
     rng = np.random.default_rng(seed)
     out = []
-    cur_lr = lr
-    for epoch in range(epochs):
-        if epoch in LR_DROPS:
-            cur_lr *= 0.1
+    for epoch, cur_lr in enumerate(step_decay(lr, epochs)):
         idx = rng.permutation(len(y))
         for s in range(0, len(y), BATCH_SIZE):
             b = idx[s : s + BATCH_SIZE]

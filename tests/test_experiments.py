@@ -11,6 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import iosim
 from repro.core import analysis, harness, pcr
 from repro.core import experiments as cx
 from repro.core.dataset import read_metadata, record_paths
@@ -27,7 +28,7 @@ def _patch_harness(monkeypatch, name, out_dir):
 
 def test_seconds_per_epoch_monotone(spark, celeba_dir):
     stats = analysis.scan_size_stats(read_metadata(spark, celeba_dir))
-    spe = tx.seconds_per_epoch(stats, "resnet_lite")
+    spe = iosim.seconds_per_epoch(stats, "resnet_lite", iosim.reference_bandwidth(stats))
     times = [spe[f"scan_{g}"] for g in range(1, 11)]
     assert times == sorted(times)
     # Scan 10 is IO bound by 2x in the reference regime.
@@ -49,7 +50,7 @@ def test_each_figure_aggregates_its_dataset_once(spark, celeba_dir, monkeypatch)
         if hasattr(mod, "scan_size_stats"):
             monkeypatch.setattr(mod, "scan_size_stats", counting)
     figs = {
-        "fig5": lambda: cx.fig5_throughput(spark, 0.25),
+        "fig5": lambda: cx.fig5_throughput(spark, "resnet_lite", 0.25),
         "fig7": lambda: tx.fig7_time_to_accuracy(spark, "celeba_lite", 0.25),
         "fig14": lambda: tx.fig14_autotune(spark, 0.25),
         "fig16": lambda: tx.fig16_bandwidth_sweep(spark, 0.25),

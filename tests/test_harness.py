@@ -4,24 +4,24 @@ import os
 import pandas as pd
 import pytest
 
+from repro import iosim
 from repro.core import harness
 from repro.core.analysis import scan_size_stats
 from repro.core.dataset import read_metadata
-from repro.iosim.pipeline import MODEL_RATES
 
 
 def test_cluster_rate_uses_paper_constants():
-    assert harness.N_NODES == 10
-    assert harness.cluster_rate("resnet_lite") == 450.0 * harness.N_NODES
-    assert harness.cluster_rate("shufflenet_lite") == 750.0 * harness.N_NODES
+    assert iosim.N_NODES == 10
+    assert iosim.cluster_rate("resnet_lite") == 450.0 * iosim.N_NODES
+    assert iosim.cluster_rate("shufflenet_lite") == 750.0 * iosim.N_NODES
 
 
 def test_reference_bandwidth_regime(spark, celeba_dir):
     """W is chosen so full fidelity is I/O bound at half the compute rate."""
     stats = scan_size_stats(read_metadata(spark, celeba_dir))
-    W = harness.reference_bandwidth(stats)
+    W = iosim.reference_bandwidth(stats)
     mean_full = float(stats["mean_cum_10"])
-    assert W / mean_full == pytest.approx(0.5 * harness.cluster_rate("resnet_lite"))
+    assert W / mean_full == pytest.approx(0.5 * iosim.cluster_rate("resnet_lite"))
 
 
 def test_job_spark_hides_console_progress(spark):
@@ -32,6 +32,13 @@ def test_job_spark_hides_console_progress(spark):
 def test_dataset_dir_respects_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_DATA", str(tmp_path))
     assert harness.dataset_dir("x", 0.5) == os.path.join(str(tmp_path), "x_sf0.5")
+
+
+def test_data_root_is_normalized_absolute(monkeypatch):
+    monkeypatch.delenv("REPRO_DATA", raising=False)
+    root = harness.data_root()
+    assert os.path.isabs(root) and root == os.path.normpath(root)
+    assert root == os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".data")
 
 
 def test_get_or_build_caches(spark, monkeypatch, tmp_path):

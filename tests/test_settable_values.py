@@ -16,7 +16,6 @@ SETTABLE = [
     "repro/core/experiments.py: table2_decode_rates(sf)",
     "repro/core/experiments.py: table3_dataset_summary(sf)",
     "repro/core/experiments.py: fig5_throughput(sf)",
-    "repro/core/experiments.py: fig5_throughput(model)",
     "repro/core/experiments.py: fig8_scan_sizes(sf)",
     "repro/core/experiments.py: fig13_mssim(sf)",
     "repro/core/experiments.py: fig22_encoding_times(sf)",
@@ -33,7 +32,6 @@ SETTABLE = [
     "repro/train/experiments.py: load_scan_data(sf)",
     "repro/train/experiments.py: load_scan_data(label_col)",
     "repro/train/experiments.py: load_scan_data(model)",
-    "repro/train/experiments.py: seconds_per_epoch(bandwidth)",
     "repro/train/experiments.py: fig7_time_to_accuracy(sf)",
     "repro/train/experiments.py: fig7_time_to_accuracy(models)",
     "repro/train/experiments.py: fig7_time_to_accuracy(label_col)",

@@ -1,4 +1,5 @@
-"""Tests for the analysis module (Table 1 / Fig 5 / Fig 8 machinery)."""
+"""Tests for the analysis module (Table 1 / Fig 8 machinery) and the
+cluster model's rate table on its stats row (Fig 5)."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -7,12 +8,11 @@ from repro.core.analysis import (
     scan_size_distribution,
     scan_size_stats,
     size_reduction_table,
-    speedup_table,
     with_cumulative,
 )
 from repro.core.dataset import read_metadata
 from repro.formats.tfrecord import RECORD_OVERHEAD
-from repro.iosim.storage import MiB
+from repro.iosim import MiB, cluster_rate, speedup_table
 from repro.jpeg import N_SCANS
 from repro.oracle import assert_equivalent
 
@@ -68,10 +68,10 @@ def test_scan_size_stats_oracle(spark, celeba_dir):
 
 def test_speedup_table_min_rule(spark, celeba_dir):
     stats = scan_size_stats(read_metadata(spark, celeba_dir))
-    t = speedup_table(stats, compute_rate=450.0, bandwidth=1 * MiB)
+    t = speedup_table(stats, "resnet_lite", bandwidth=1 * MiB)
     scans = [f"scan_{g}" for g in range(1, N_SCANS + 1)]
     assert t.index.tolist() == scans + ["tfrecord"]
-    assert (t["predicted_rate"] <= 450.0 + 1e-9).all()
+    assert (t["predicted_rate"] <= cluster_rate("resnet_lite") + 1e-9).all()
     # Lower scans -> higher predicted rate while IO bound.
     assert t.loc[scans, "predicted_rate"].is_monotonic_decreasing
     assert t.loc["tfrecord", "mean_bytes"] == stats["mean_baseline"] + RECORD_OVERHEAD
@@ -79,8 +79,8 @@ def test_speedup_table_min_rule(spark, celeba_dir):
 
 def test_speedup_table_compute_bound_saturates(spark, celeba_dir):
     stats = scan_size_stats(read_metadata(spark, celeba_dir))
-    t = speedup_table(stats, compute_rate=450.0, bandwidth=10_000 * MiB)
-    assert t["predicted_rate"].to_numpy() == pytest.approx(450.0)
+    t = speedup_table(stats, "resnet_lite", bandwidth=10_000 * MiB)
+    assert t["predicted_rate"].to_numpy() == pytest.approx(cluster_rate("resnet_lite"))
 
 
 def test_scan_size_distribution_monotone_medians(spark, celeba_dir):

@@ -15,6 +15,7 @@ from repro.train.features import (
 )
 from repro.train.gradsim import cosine_similarity, gradient_similarity, similarity_by_scan
 from repro.train.model import (
+    BATCH_SIZE,
     EPOCHS,
     LR,
     LR_DROPS,
@@ -224,6 +225,37 @@ def test_static_train_returns_accuracy_curve():
     accs = static_train(by_scan[10], y, by_scan[10][:50], y[:50], 2)
     assert len(accs) == EPOCHS
     assert accs[-1] > 0.8
+
+
+def test_autotune_and_static_train_are_pinned(monkeypatch):
+    """Per-epoch scans and test hits of ``autotune_train`` and
+    ``static_train`` on a seeded synthetic set, pinned so the Fig 6/7/14/16
+    accuracies cannot move unnoticed. Every epoch's rate is ``LR`` dropped
+    by repeated ``*= 0.1``, bit for bit."""
+    by_scan, y = _scan_family()
+    test, yte = _scan_family(seed=1, n=200)
+    rates = []
+    real_step = SoftmaxModel.step
+    monkeypatch.setattr(SoftmaxModel, "step", lambda m, dW, db, lr: (
+        rates.append(lr), real_step(m, dW, db, lr)))
+    res = autotune_train(by_scan, y, test[10], yte, 2)
+    want_rates, lr = [], LR
+    for epoch in range(EPOCHS):
+        if epoch in LR_DROPS:
+            lr *= 0.1
+        want_rates += [lr] * -(-len(y) // BATCH_SIZE)  # one per minibatch
+    assert rates == want_rates
+    assert res.scan_per_epoch == [10] * 5 + [2] * 35
+    assert [round(a * len(yte)) for a in res.acc_per_epoch] == (
+        [189, 191, 192, 194] + [196] * 5 + [195, 196, 196, 197, 198, 197, 197,
+                                            197, 196, 197, 197] + [198] * 20)
+    hits = {g: [round(a * len(yte)) for a in static_train(
+        by_scan[g], y, test[g], yte, 2)] for g in (1, 10)}
+    assert hits[1] == [152, 154, 153, 152, 152, 152, 153, 152, 153, 149, 152,
+                       151, 149, 152, 152, 150, 152, 153, 153, 154, 153] + [152] * 19
+    assert hits[10] == [189, 191, 192, 194, 196, 198, 198, 200, 199, 197, 199,
+                        195, 196, 198, 197, 198, 199, 199, 199, 199, 199, 199,
+                        199] + [200] * 17
 
 
 # ---------- end to end on the Spark loader ----------
