@@ -189,7 +189,7 @@ def features_to_arrays(pdf: pd.DataFrame, label_col: str = "label"):
 def dataset_summary(spark: SparkSession, out_dir: str, name: str) -> dict:
     """One Table-3 row: records, images, size, estimated quality, classes."""
     from repro.jpeg.decoder import decode_to_coeffs
-    from repro.jpeg.quant import estimate_quality
+    from repro.jpeg.codec import estimate_quality
 
     meta = read_metadata(spark, out_dir)
     agg = meta.agg(

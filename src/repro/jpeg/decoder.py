@@ -1,7 +1,8 @@
 """Unified JPEG decoder for our baseline (SOF0) and progressive (SOF2) files.
 
-Decodes marker segments, then entropy-decodes each scan into shared
-per-component coefficient arrays. Truncated streams — the PCR case,
+Decodes marker segments; the SOF segment gives an all-zero
+``CoeffImage`` and each scan is entropy-decoded into its components'
+coefficient arrays in place. Truncated streams — the PCR case,
 where only a prefix of the scans is present followed by EOI — decode
 cleanly: missing scans simply leave their coefficient bands at zero,
 and a scan cut mid-stream keeps whatever blocks completed (matching
@@ -33,9 +34,8 @@ import struct
 import numpy as np
 
 from . import markers
-from .codec import CoeffImage, Component, inverse
+from .codec import UNZIGZAG, CoeffImage, Component, inverse
 from .huffman import LOOKAHEAD_BITS, HuffmanTable, segment_words
-from .quant import UNZIGZAG
 
 _K = LOOKAHEAD_BITS
 _KMASK = (1 << _K) - 1
@@ -48,6 +48,8 @@ def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
         pq, tq = payload[i] >> 4, payload[i] & 0xF
         if pq != 0:
             raise ValueError("only 8-bit quant tables supported")
+        if len(payload) < i + 65:
+            raise ValueError("DQT segment too short")
         zz = np.frombuffer(payload[i + 1 : i + 65], dtype=np.uint8).astype(np.int32)
         qtables[tq] = zz[UNZIGZAG].reshape(8, 8)
         i += 65
@@ -64,26 +66,28 @@ def _parse_dht(payload: bytes, tables: dict[tuple[int, int], HuffmanTable]) -> N
         i += 17 + n
 
 
-class _Frame:
-    def __init__(self, payload: bytes):
-        prec, self.height, self.width, nf = struct.unpack(">BHHB", payload[:6])
-        if prec != 8:
-            raise ValueError(f"only 8-bit samples supported, got {prec}")
-        self.comp_ids: list[int] = []
-        self.qtab_ids: list[int] = []
-        for c in range(nf):
-            cid, hv, tq = payload[6 + 3 * c : 9 + 3 * c]
-            if hv != 0x11:
-                raise ValueError("only 4:4:4 (1x1 sampling) supported")
-            self.comp_ids.append(cid)
-            self.qtab_ids.append(tq)
-        self.nby = -(-self.height // 8)
-        self.nbx = -(-self.width // 8)
-        self.n_blocks = self.nby * self.nbx
-        self.coeffs = [
-            np.zeros((self.n_blocks, 64), dtype=np.int32) for _ in range(nf)
-        ]
-        self.flat = [memoryview(a.reshape(-1)) for a in self.coeffs]
+def _frame(payload: bytes) -> CoeffImage:
+    """The all-zero ``CoeffImage`` a SOF segment describes; its scans fill
+    it in place and ``decode_to_coeffs`` adds the quant tables."""
+    if len(payload) < 6:
+        raise ValueError("SOF segment too short")
+    prec, height, width, nf = struct.unpack(">BHHB", payload[:6])
+    if prec != 8:
+        raise ValueError(f"only 8-bit samples supported, got {prec}")
+    if len(payload) != 6 + 3 * nf:
+        raise ValueError(f"SOF segment length does not match its {nf} components")
+    if nf not in (1, 3):
+        raise ValueError(f"only 1- or 3-component frames supported, got {nf}")
+    nby, nbx = -(-height // 8), -(-width // 8)
+    comps = []
+    for c in range(nf):
+        cid, hv, tq = payload[6 + 3 * c : 9 + 3 * c]
+        if hv != 0x11:
+            raise ValueError("only 4:4:4 (1x1 sampling) supported")
+        comps.append(Component(cid, tq, np.zeros((nby * nbx, 64), np.int32), nby, nbx))
+    if len({comp.comp_id for comp in comps}) != nf:
+        raise ValueError("SOF repeats a component id")
+    return CoeffImage(height, width, comps, [])
 
 
 def _interleaved_scan(entropy: bytes, n_blocks: int, se: int,
@@ -188,25 +192,33 @@ def _table(htables: dict[tuple[int, int], HuffmanTable], tc: int,
     return htables[(tc, th)]
 
 
-def _decode_scan(frame: _Frame, payload: bytes, entropy: bytes,
+def _decode_scan(ci: CoeffImage, payload: bytes, entropy: bytes,
                  htables: dict[tuple[int, int], HuffmanTable]) -> None:
-    ns = payload[0]
+    ns = payload[0] if payload else 0
+    if ns == 0 or len(payload) != 4 + 2 * ns:
+        raise ValueError("SOS segment length does not match its components")
     ss, se, _ = payload[1 + 2 * ns : 4 + 2 * ns]
     if ss != 0 and ns != 1:
         raise ValueError("progressive AC scans are single-component")
+    if not ss <= se <= 63:
+        raise ValueError(f"scan band Ss={ss}, Se={se} is not 0 <= Ss <= Se <= 63")
+    by_id = {comp.comp_id: comp for comp in ci.components}
     outs, dc_tabs, ac_tabs = [], [], []
     for j in range(ns):
         cid, tda = payload[1 + 2 * j : 3 + 2 * j]
-        outs.append(frame.flat[frame.comp_ids.index(cid)])
+        if cid not in by_id:
+            raise ValueError(f"scan names component {cid}, which the frame lacks")
+        outs.append(memoryview(by_id[cid].coeffs.reshape(-1)))
         # Only the tables the scan decodes with must exist: a DC-only
         # scan (Se = 0) may name an undefined AC table.
         dc_tabs.append(_table(htables, 0, tda >> 4) if ss == 0 else None)
         ac_tabs.append(_table(htables, 1, tda & 0xF) if se else None)
+    n_blocks = len(ci.components[0].coeffs)
     try:
         if ss == 0:
-            _interleaved_scan(entropy, frame.n_blocks, se, dc_tabs, ac_tabs, outs)
+            _interleaved_scan(entropy, n_blocks, se, dc_tabs, ac_tabs, outs)
         else:
-            _ac_band_scan(entropy, frame.n_blocks, ss, se, ac_tabs[0], outs[0])
+            _ac_band_scan(entropy, n_blocks, ss, se, ac_tabs[0], outs[0])
     except EOFError:
         pass  # truncated final scan: keep what decoded so far
 
@@ -215,32 +227,25 @@ def decode_to_coeffs(data: bytes) -> CoeffImage:
     """Entropy-decode a JPEG byte stream to a quantized coefficient image."""
     qtables: dict[int, np.ndarray] = {}
     htables: dict[tuple[int, int], HuffmanTable] = {}
-    frame: _Frame | None = None
+    ci: CoeffImage | None = None
     for seg in markers.parse(data):
         if seg.marker == markers.DQT:
             _parse_dqt(seg.payload, qtables)
         elif seg.marker == markers.DHT:
             _parse_dht(seg.payload, htables)
         elif seg.marker in (markers.SOF0, markers.SOF2):
-            frame = _Frame(seg.payload)
+            ci = _frame(seg.payload)
         elif seg.marker == markers.SOS:
-            if frame is None:
+            if ci is None:
                 raise ValueError("SOS before SOF")
-            _decode_scan(frame, seg.payload, seg.entropy, htables)
-    if frame is None:
+            _decode_scan(ci, seg.payload, seg.entropy, htables)
+    if ci is None:
         raise ValueError("no frame found")
-    comps = [
-        Component(frame.comp_ids[c], frame.qtab_ids[c], frame.coeffs[c],
-                  frame.nby, frame.nbx)
-        for c in range(len(frame.coeffs))
-    ]
-    n_qt = max(frame.qtab_ids) + 1
-    for i in range(n_qt):
+    for i in range(max(comp.qtab_id for comp in ci.components) + 1):
         if i not in qtables:
             raise ValueError(f"frame needs undefined quant table {i}")
-    return CoeffImage(
-        frame.height, frame.width, comps, [qtables[i] for i in range(n_qt)]
-    )
+        ci.qtables.append(qtables[i])
+    return ci
 
 
 def decode(data: bytes) -> np.ndarray:

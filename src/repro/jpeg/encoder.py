@@ -41,9 +41,8 @@ import struct
 import numpy as np
 
 from . import markers
-from .codec import CoeffImage, Component, forward
+from .codec import ZIGZAG, CoeffImage, Component, forward
 from .huffman import build_optimal_table, magnitude_bits, magnitude_category, pack_scan
-from .quant import ZIGZAG
 
 EOBRUN_MAX = 0x7FFF  # longest end-of-band run one EOBn symbol can send
 

@@ -1,22 +1,60 @@
-"""Scan-group autotuner (paper §4.3/§6.5, Figures 14/26).
+"""Gradient similarity between fidelities and the scan-group autotuner
+(paper §4.3/§6.5, Figures 6, 14 and 26).
+
+A similarity probe freezes the model, measures the loss gradient on the
+full-fidelity data and on each lower-fidelity variant of the *same*
+samples, and scores each scan group by the cosine similarity of the two
+gradient vectors.
 
 Training starts at scan 10 (the first ``WARMUP_EPOCHS``, as in the
-paper), then every ``TUNE_EVERY`` epochs the tuner freezes the model,
-scores each candidate scan group by gradient cosine similarity against
-the full-fidelity data, and switches to the *lowest* (cheapest) scan
-whose similarity is at or above the threshold (default 0.8). One
-hyperparameter, no validation data — as in the paper.
+paper), then every ``TUNE_EVERY`` epochs the tuner probes and switches
+to the *lowest* (cheapest) scan whose similarity is at or above the
+threshold (default 0.8, the paper's). One hyperparameter, no validation
+data — as in the paper.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
 from repro.train.model import EPOCHS, LR, SEED, SoftmaxModel, step_decay, train_sgd
 
+DEFAULT_THRESHOLD = 0.8
 PROBE_SIZE = 2560  # training samples each similarity probe scores
 WARMUP_EPOCHS = 5  # epochs at full fidelity before the first probe
 TUNE_EVERY = 10  # epochs between similarity probes
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def gradient_similarity(model: SoftmaxModel, X_full: np.ndarray,
+                        X_scan: np.ndarray, y: np.ndarray) -> float:
+    """score(D, D') = sim(grad L(X, y), grad L(X', y)) at frozen params."""
+    g_full = model.gradient_vector(X_full, y)
+    g_scan = model.gradient_vector(X_scan, y)
+    return cosine_similarity(g_full, g_scan)
+
+
+def similarity_by_scan(model: SoftmaxModel, X_by_scan: dict[int, np.ndarray],
+                       y: np.ndarray) -> dict[int, float]:
+    """Similarity score of every scan group vs the highest (full) one."""
+    X_full = X_by_scan[max(X_by_scan)]
+    return {
+        g: gradient_similarity(model, X_full, X_by_scan[g], y)
+        for g in sorted(X_by_scan)
+    }
+
+
+def similarity_probe(model: SoftmaxModel, X_by_scan: dict[int, np.ndarray],
+                     y: np.ndarray, rng: np.random.Generator) -> dict[int, float]:
+    """``similarity_by_scan`` on ``min(PROBE_SIZE, len(y))`` training
+    samples drawn from ``rng`` without replacement."""
+    idx = rng.choice(len(y), size=min(PROBE_SIZE, len(y)), replace=False)
+    return similarity_by_scan(model, {g: X[idx] for g, X in X_by_scan.items()}, y[idx])
 
 
 @dataclass
@@ -39,10 +77,7 @@ def autotune_train(X_by_scan: dict[int, np.ndarray], y: np.ndarray,
     scans, accs, sims = [], [], []
     for epoch, cur_lr in enumerate(step_decay(LR, EPOCHS)):
         if epoch >= WARMUP_EPOCHS and (epoch - WARMUP_EPOCHS) % TUNE_EVERY == 0:
-            probe = rng.choice(len(y), size=min(PROBE_SIZE, len(y)), replace=False)
-            score = similarity_by_scan(
-                model, {g: X[probe] for g, X in X_by_scan.items()}, y[probe]
-            )
+            score = similarity_probe(model, X_by_scan, y, rng)
             ok = [g for g, s in score.items() if s >= threshold]
             scan = min(ok) if ok else full_scan
             sims.append({"epoch": epoch, "chosen": scan, **{f"scan_{g}": s for g, s in score.items()}})

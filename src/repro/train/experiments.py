@@ -17,9 +17,13 @@ from repro.core import harness
 from repro.core.analysis import TABLE_SCANS, scan_size_stats
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
 from repro.iosim import MiB, reference_bandwidth, seconds_per_epoch, time_to_accuracy
-from repro.train.autotune import PROBE_SIZE, autotune_train, static_train
+from repro.train.autotune import (
+    DEFAULT_THRESHOLD,
+    autotune_train,
+    similarity_probe,
+    static_train,
+)
 from repro.train.features import feature_mask
-from repro.train.gradsim import DEFAULT_THRESHOLD, similarity_by_scan
 from repro.train.model import EPOCHS, LR, SEED, SoftmaxModel, standardize, train_sgd
 
 MODELS = ("resnet_lite", "shufflenet_lite")  # the two model profiles
@@ -127,12 +131,7 @@ def fig6_gradient_similarity(spark: SparkSession, sf: float = 1.0) -> pd.DataFra
 
     def probe(model_, epoch):
         if epoch + 1 in CHECKPOINTS:
-            idx = rng.choice(len(data.y), size=min(PROBE_SIZE, len(data.y)),
-                             replace=False)
-            sims = similarity_by_scan(
-                model_, {g: X[idx] for g, X in data.X_by_scan.items()},
-                data.y[idx],
-            )
+            sims = similarity_probe(model_, data.X_by_scan, data.y, rng)
             rows.append({"epoch": epoch + 1,
                          **{f"scan_{g}": s for g, s in sims.items()}})
 

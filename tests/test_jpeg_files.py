@@ -16,7 +16,7 @@ from repro.jpeg import (
     truncate_to_scans,
 )
 from repro.jpeg import markers
-from repro.jpeg.codec import CoeffImage, Component, forward
+from repro.jpeg.codec import CoeffImage, Component, forward, tables_for_quality
 from repro.jpeg.decoder import _parse_dht
 from repro.jpeg.encoder import (
     encode_baseline_from_coeffs,
@@ -24,7 +24,6 @@ from repro.jpeg.encoder import (
     script_for,
 )
 from repro.jpeg.huffman import segment_words
-from repro.jpeg.quant import tables_for_quality
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS, generate_image
 
@@ -211,6 +210,13 @@ def _sos(data, i):
     return [s for s in markers.parse(data) if s.marker == markers.SOS][i]
 
 
+def _edit_payload(data, marker, edit):
+    """``data`` with the first ``marker`` segment's payload replaced by
+    ``edit(payload)``, its length field rewritten to match."""
+    s = _segment(data, marker)
+    return data[: s.offset] + markers.seg(marker, edit(s.payload)) + data[s.end :]
+
+
 # Damaged headers of a 3-component progressive file, keyed by the error
 # each raises. A segment's payload starts 4 bytes after its marker.
 _DAMAGED = {
@@ -231,6 +237,21 @@ _DAMAGED = {
     "undefined AC Huffman table 15": lambda p: _set_byte(p, _sos(p, 1).offset + 6, 0x0F),
     # The luma quant table is never defined.
     "undefined quant table 0": lambda p: _cut_segment(p, markers.DQT),
+    "DQT segment too short": lambda p: _edit_payload(p, markers.DQT, lambda b: b[:40]),
+    "SOF segment too short": lambda p: _edit_payload(p, markers.SOF2, lambda b: b[:5]),
+    # The SOF claims 4 components but holds 3.
+    "does not match its 4 components": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 9, 4),
+    # A 2-component frame, well formed.
+    "only 1- or 3-component frames": lambda p: _edit_payload(
+        p, markers.SOF2, lambda b: b[:5] + bytes([2]) + b[6:12]),
+    # The second component takes the first one's id.
+    "repeats a component id": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 13, 1),
+    # The 3-component DC scan claims 2 components.
+    "SOS segment length": lambda p: _set_byte(p, _sos(p, 0).offset + 4, 2),
+    "scan names component 9": lambda p: _set_byte(p, _sos(p, 0).offset + 5, 9),
+    # The first AC band (Y 1-5) ends past coefficient 63, or before it starts.
+    "Ss=1, Se=70": lambda p: _set_byte(p, _sos(p, 1).offset + 8, 70),
+    "Ss=6, Se=5": lambda p: _set_byte(p, _sos(p, 1).offset + 7, 6),
 }
 
 

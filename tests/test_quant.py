@@ -1,8 +1,9 @@
-"""Unit tests for quantization tables, zigzag, and quality estimation."""
+"""Unit tests for the quantization tables, zigzag order, and quality
+estimation of ``jpeg.codec``."""
 import numpy as np
 import pytest
 
-from repro.jpeg.quant import (
+from repro.jpeg.codec import (
     STD_CHROMA_QT,
     STD_LUMA_QT,
     UNZIGZAG,

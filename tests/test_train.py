@@ -1,19 +1,29 @@
-"""Unit tests for features, the softmax model, gradsim, and the autotuner,
+"""Unit tests for features, the softmax model, gradient similarity, and the autotuner,
 plus end-to-end training on features the Spark PCR loader extracts."""
 import numpy as np
 import pytest
 
 from repro.core.dataset import collect_features, features_to_arrays
-from repro.train.autotune import WARMUP_EPOCHS, autotune_train, static_train
+from repro.jpeg.codec import to_gray
+from repro.synth_images import SPECS, generate_image
+from repro.train.autotune import (
+    WARMUP_EPOCHS,
+    autotune_train,
+    cosine_similarity,
+    gradient_similarity,
+    similarity_by_scan,
+    static_train,
+)
 from repro.train.features import (
-    BAND_OF_FEATURE,
+    BAND_EDGES,
+    GRID,
     N_BAND_FEATURES,
     N_FEATURES,
     N_PIXEL_FEATURES,
+    _grid_means,
     extract_features,
     feature_mask,
 )
-from repro.train.gradsim import cosine_similarity, gradient_similarity, similarity_by_scan
 from repro.train.model import (
     BATCH_SIZE,
     EPOCHS,
@@ -39,7 +49,9 @@ def test_feature_dimensions():
     f = extract_features(_img())
     assert f.shape == (N_FEATURES,)
     assert N_FEATURES == N_PIXEL_FEATURES + N_BAND_FEATURES
-    assert len(BAND_OF_FEATURE) == N_BAND_FEATURES
+    # Band 0 (DC) gives one feature, every AC band a (horizontal,
+    # vertical) pair.
+    assert N_BAND_FEATURES == 1 + 2 * (len(BAND_EDGES) - 2)
 
 
 def test_features_deterministic():
@@ -67,11 +79,41 @@ def test_band_features_respond_to_truncation():
     p = encode_progressive_from_coeffs(forward(img, 95))
     f_full = extract_features(decode(p))
     f_s1 = extract_features(decode(truncate_to_scans(p, 1)))
-    hi = N_PIXEL_FEATURES + np.nonzero(BAND_OF_FEATURE >= 4)[0]
+    hi = slice(N_PIXEL_FEATURES + 1 + 2 * (4 - 1), N_FEATURES)  # bands 4 and up
     assert f_s1[hi].sum() < 0.25 * f_full[hi].sum()
     # Low-frequency pixel features survive.
     lo = slice(0, N_PIXEL_FEATURES)
     assert np.abs(f_s1[lo] - f_full[lo]).mean() < 0.05
+
+
+def _grid_means_by_slice(gray):
+    """The per-cell loop ``_grid_means`` replaced: each cell slice's own
+    ``mean()``, cell edges from ``linspace``."""
+    h, w = gray.shape
+    ys = np.linspace(0, h, GRID + 1).astype(int)
+    xs = np.linspace(0, w, GRID + 1).astype(int)
+    out = np.empty((GRID, GRID))
+    for i in range(GRID):
+        for j in range(GRID):
+            out[i, j] = gray[ys[i] : ys[i + 1], xs[j] : xs[j + 1]].mean()
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("spec", ["imagenet_lite", "celeba_lite", "ham_lite", "cars_lite"])
+def test_grid_means_bit_equal_to_per_cell_means(spec):
+    from repro.jpeg import baseline_to_progressive, decode, encode_baseline, truncate_to_scans
+
+    s = SPECS[spec]
+    for i in range(4):
+        p = baseline_to_progressive(encode_baseline(generate_image(s, i)[0], s.quality))
+        for g in (1, 5, 10):
+            gray = to_gray(decode(truncate_to_scans(p, g)))
+            assert _grid_means(gray).tobytes() == _grid_means_by_slice(gray).tobytes()
+
+
+def test_grid_means_reject_a_side_grid_does_not_divide():
+    with pytest.raises(ValueError):
+        _grid_means(np.zeros((8 * GRID + 4, 8 * GRID)))
 
 
 # ---------- model ----------
