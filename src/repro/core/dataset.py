@@ -32,8 +32,8 @@ from pyspark.sql import functions as F
 from repro import synth_images
 from repro.core import pcr
 from repro.formats import tfrecord
-from repro.jpeg import N_SCANS, decode
-from repro.jpeg.codec import forward
+from repro.jpeg import N_SCANS, decode, decode_to_coeffs
+from repro.jpeg.codec import estimate_quality, forward
 from repro.jpeg.encoder import encode_baseline_from_coeffs, encode_progressive_from_coeffs
 from repro.train.features import extract_features
 
@@ -188,9 +188,6 @@ def features_to_arrays(pdf: pd.DataFrame, label_col: str = "label"):
 
 def dataset_summary(spark: SparkSession, out_dir: str, name: str) -> dict:
     """One Table-3 row: records, images, size, estimated quality, classes."""
-    from repro.jpeg.decoder import decode_to_coeffs
-    from repro.jpeg.codec import estimate_quality
-
     meta = read_metadata(spark, out_dir)
     agg = meta.agg(
         F.countDistinct("record").alias("records"),

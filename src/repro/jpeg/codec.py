@@ -6,9 +6,10 @@ and ``CoeffImage``, the one type every coder reads and writes.
 
 Components are stored as quantized coefficients in **zigzag order**,
 shape ``(n_blocks, 64)`` with blocks in raster order — the layout both
-the baseline and progressive entropy coders consume. We use 4:4:4
-(no chroma subsampling; see DESIGN.md) so every component shares the
-same block grid.
+the baseline and progressive entropy coders consume. Every image is
+colour 4:4:4 (Y, Cb, Cr; no chroma subsampling; see DESIGN.md), so the
+three components share one block grid, which the image's height and
+width give.
 
 JPEG's FDCT/IDCT pair is the orthonormal 2-D DCT on 8x8 blocks. We
 implement it as two matrix multiplies with the orthonormal DCT-II basis
@@ -140,25 +141,22 @@ def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
 
 
 def to_gray(img: np.ndarray) -> np.ndarray:
-    """uint8 RGB (HxWx3) or grayscale (HxW) -> HxW float64 luma."""
-    if img.ndim == 3:
-        return img.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-    return img.astype(np.float64)
+    """HxWx3 uint8 RGB -> HxW float64 luma."""
+    return img.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
 
 
-def plane_to_blocks(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
+def plane_to_blocks(plane: np.ndarray) -> np.ndarray:
     """Pad a HxW plane to 8-multiples (edge replication) and split into
-    raster-ordered 8x8 blocks. Returns (blocks (n,8,8), nby, nbx)."""
+    raster-ordered 8x8 blocks, shape (n_blocks, 8, 8)."""
     h, w = plane.shape
-    ph, pw = -h % 8, -w % 8
-    p = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
+    p = np.pad(plane, ((0, -h % 8), (0, -w % 8)), mode="edge")
     nby, nbx = p.shape[0] // 8, p.shape[1] // 8
-    blocks = p.reshape(nby, 8, nbx, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    return blocks, nby, nbx
+    return p.reshape(nby, 8, nbx, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
 
 
-def blocks_to_plane(blocks: np.ndarray, nby: int, nbx: int, h: int, w: int) -> np.ndarray:
-    """Inverse of ``plane_to_blocks`` (crops padding)."""
+def blocks_to_plane(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Inverse of ``plane_to_blocks`` for a HxW plane (crops padding)."""
+    nby, nbx = -(-h // 8), -(-w // 8)
     p = blocks.reshape(nby, nbx, 8, 8).transpose(0, 2, 1, 3).reshape(nby * 8, nbx * 8)
     return p[:h, :w]
 
@@ -173,11 +171,10 @@ def idct2(coeffs: np.ndarray) -> np.ndarray:
     return _DT @ coeffs @ _D
 
 
-def zigzag_dct(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
+def zigzag_dct(plane: np.ndarray) -> np.ndarray:
     """A HxW sample plane's DCT coefficients, unquantized: level shift,
-    8x8 blocks, DCT, zigzag order. Returns (coefs (n_blocks, 64), nby, nbx)."""
-    blocks, nby, nbx = plane_to_blocks(plane - 128.0)
-    return fdct2(blocks).reshape(-1, 64)[:, ZIGZAG], nby, nbx
+    8x8 blocks, DCT, zigzag order. Shape (n_blocks, 64)."""
+    return fdct2(plane_to_blocks(plane - 128.0)).reshape(-1, 64)[:, ZIGZAG]
 
 
 @dataclass
@@ -190,51 +187,36 @@ class Component:
     comp_id: int
     qtab_id: int
     coeffs: np.ndarray
-    nby: int
-    nbx: int
 
 
 @dataclass
 class CoeffImage:
-    """A fully-described image in the quantized-coefficient domain."""
+    """A fully-described image in the quantized-coefficient domain: Y, Cb
+    and Cr, each on the block grid of ``height`` x ``width``."""
 
     height: int
     width: int
     components: list[Component]
     qtables: list[np.ndarray]  # natural-order 8x8 tables, indexed by qtab_id
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
 
 def forward(img: np.ndarray, quality: int) -> CoeffImage:
-    """RGB (HxWx3) or grayscale (HxW) uint8 -> quantized coefficient image."""
-    if img.ndim == 2:
-        planes = [img.astype(np.float64)]
-        qtables = [tables_for_quality(quality)[0]]
-        qids = [0]
-    else:
-        ycc = rgb_to_ycbcr(img)
-        planes = [ycc[..., 0], ycc[..., 1], ycc[..., 2]]
-        qtables = list(tables_for_quality(quality))
-        qids = [0, 1, 1]
+    """HxWx3 uint8 RGB -> quantized coefficient image."""
+    ycc = rgb_to_ycbcr(img)
+    qtables = list(tables_for_quality(quality))
     comps = []
-    for ci, (plane, qid) in enumerate(zip(planes, qids)):
-        coefs, nby, nbx = zigzag_dct(plane)
+    for c, qid in enumerate((0, 1, 1)):
         q = qtables[qid].reshape(-1)[ZIGZAG].astype(np.float64)
-        comps.append(Component(ci + 1, qid, np.round(coefs / q).astype(np.int32), nby, nbx))
-    return CoeffImage(*planes[0].shape, comps, qtables)
+        coefs = np.round(zigzag_dct(ycc[..., c]) / q).astype(np.int32)
+        comps.append(Component(c + 1, qid, coefs))
+    return CoeffImage(*img.shape[:2], comps, qtables)
 
 
 def inverse(ci: CoeffImage) -> np.ndarray:
-    """Quantized coefficient image -> decoded uint8 image (RGB or grayscale)."""
+    """Quantized coefficient image -> decoded HxWx3 uint8 RGB image."""
     planes = []
     for comp in ci.components:
         q = ci.qtables[comp.qtab_id].astype(np.float64)
         nat = comp.coeffs[:, UNZIGZAG].astype(np.float64).reshape(-1, 8, 8)
-        blocks = idct2(nat * q) + 128.0
-        planes.append(blocks_to_plane(blocks, comp.nby, comp.nbx, ci.height, ci.width))
-    if len(planes) == 1:
-        return np.clip(np.round(planes[0]), 0, 255).astype(np.uint8)
+        planes.append(blocks_to_plane(idct2(nat * q) + 128.0, ci.height, ci.width))
     return ycbcr_to_rgb(np.stack(planes, axis=-1))

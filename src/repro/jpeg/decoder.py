@@ -2,7 +2,9 @@
 
 Decodes marker segments; the SOF segment gives an all-zero
 ``CoeffImage`` and each scan is entropy-decoded into its components'
-coefficient arrays in place. Truncated streams — the PCR case,
+coefficient arrays in place. The frame must be 3-component 4:4:4 of at
+most ``MAX_PIXELS`` pixels, a bound checked before any coefficient array
+is allocated; any other frame raises ``ValueError``. Truncated streams — the PCR case,
 where only a prefix of the scans is present followed by EOI — decode
 cleanly: missing scans simply leave their coefficient bands at zero,
 and a scan cut mid-stream keeps whatever blocks completed (matching
@@ -41,6 +43,10 @@ _K = LOOKAHEAD_BITS
 _KMASK = (1 << _K) - 1
 _M32 = 0xFFFFFFFF
 
+# Largest frame decoded, as Pillow's decompression-bomb limit: its three
+# coefficient arrays take about 50 MB.
+MAX_PIXELS = 1 << 22
+
 
 def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
     i = 0
@@ -76,15 +82,17 @@ def _frame(payload: bytes) -> CoeffImage:
         raise ValueError(f"only 8-bit samples supported, got {prec}")
     if len(payload) != 6 + 3 * nf:
         raise ValueError(f"SOF segment length does not match its {nf} components")
-    if nf not in (1, 3):
-        raise ValueError(f"only 1- or 3-component frames supported, got {nf}")
-    nby, nbx = -(-height // 8), -(-width // 8)
+    if nf != 3:
+        raise ValueError(f"only 3-component frames supported, got {nf}")
+    if height * width > MAX_PIXELS:
+        raise ValueError(f"frame of {height}x{width} pixels exceeds MAX_PIXELS = {MAX_PIXELS}")
+    n_blocks = -(-height // 8) * -(-width // 8)
     comps = []
     for c in range(nf):
         cid, hv, tq = payload[6 + 3 * c : 9 + 3 * c]
         if hv != 0x11:
             raise ValueError("only 4:4:4 (1x1 sampling) supported")
-        comps.append(Component(cid, tq, np.zeros((nby * nbx, 64), np.int32), nby, nbx))
+        comps.append(Component(cid, tq, np.zeros((n_blocks, 64), np.int32)))
     if len({comp.comp_id for comp in comps}) != nf:
         raise ValueError("SOF repeats a component id")
     return CoeffImage(height, width, comps, [])

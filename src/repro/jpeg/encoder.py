@@ -7,13 +7,13 @@ both. Each script row is ``(component index or None for an interleaved
 scan, Ss, Se, AC table slot)``, as libjpeg's ``jpeg_scan_info``. The
 baseline file is the one-row script ``SCRIPT_BASELINE``.
 
-The 10-scan progressive scripts mirror libjpeg's default in structure
-(DC first, early luma AC, full chroma early, then widening luma AC
-bands) but use spectral selection only — see DESIGN.md §3 for why this
-substitution preserves everything the paper relies on. Scans with
-similar symbol statistics share one of JPEG's four AC table slots:
-early luma, chroma, mid luma, high luma (for grayscale: low, mid and
-high frequencies).
+Every image is colour 4:4:4 (Y, Cb, Cr). The 10-scan progressive script
+``SCRIPT_PROGRESSIVE`` mirrors libjpeg's default in structure (DC first,
+early luma AC, full chroma early, then widening luma AC bands) but uses
+spectral selection only — see DESIGN.md §3 for why this substitution
+preserves everything the paper relies on. Scans with similar symbol
+statistics share one of JPEG's four AC table slots: early luma, chroma,
+mid luma, high luma.
 
 Each scan's symbols are gathered one of two ways, as the decoder's two
 scan loops read them. An interleaved scan (``Ss = 0``) sends per block
@@ -50,7 +50,7 @@ Script = list[tuple[int | None, int, int, int | None]]
 
 SCRIPT_BASELINE: Script = [(None, 0, 63, None)]
 
-SCRIPT_COLOR: Script = [
+SCRIPT_PROGRESSIVE: Script = [
     (None, 0, 0, None),  # 1: DC, all components
     (0, 1, 5, 0),        # 2: Y AC 1-5
     (1, 1, 63, 1),       # 3: Cb AC (full)
@@ -63,30 +63,13 @@ SCRIPT_COLOR: Script = [
     (0, 52, 63, 3),      # 10
 ]
 
-SCRIPT_GRAY: Script = [
-    (None, 0, 0, None),
-    (0, 1, 2, 0),
-    (0, 3, 5, 0),
-    (0, 6, 9, 0),
-    (0, 10, 14, 2),
-    (0, 15, 21, 2),
-    (0, 22, 30, 2),
-    (0, 31, 41, 3),
-    (0, 42, 52, 3),
-    (0, 53, 63, 3),
-]
-
-N_SCANS = 10
+N_SCANS = len(SCRIPT_PROGRESSIVE)
 
 # A word's book index is 256 * table + symbol: tables 0-3 are JPEG's
 # DC table slots, tables _AC + 0-3 its AC table slots.
 _AC = 4
 _N_TABLES = 2 * _AC
 _SYMBOLS = np.arange(256)
-
-
-def script_for(n_components: int) -> Script:
-    return SCRIPT_COLOR if n_components == 3 else SCRIPT_GRAY
 
 
 def ac_symbols(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +158,7 @@ def _header(ci: CoeffImage, sof_marker: int) -> bytes:
     for tid, qt in enumerate(ci.qtables):
         zz = qt.reshape(-1)[ZIGZAG]
         out += markers.seg(markers.DQT, bytes([tid]) + bytes(int(v) for v in zz))
-    sof = struct.pack(">BHHB", 8, ci.height, ci.width, ci.n_components)
+    sof = struct.pack(">BHHB", 8, ci.height, ci.width, len(ci.components))
     for comp in ci.components:
         sof += bytes([comp.comp_id, 0x11, comp.qtab_id])
     out += markers.seg(sof_marker, sof)
@@ -241,9 +224,9 @@ def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
 
 def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     """Serialize a coefficient image as a 10-scan progressive JPEG."""
-    return _encode(ci, script_for(ci.n_components))
+    return _encode(ci, SCRIPT_PROGRESSIVE)
 
 
 def encode_baseline(img: np.ndarray, quality: int) -> bytes:
-    """Encode an RGB/grayscale uint8 image as baseline sequential JPEG."""
+    """Encode an HxWx3 uint8 RGB image as baseline sequential JPEG."""
     return encode_baseline_from_coeffs(forward(img, quality))

@@ -52,7 +52,7 @@ def _ssim_cs(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def msssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Multi-scale SSIM of two uint8 images (RGB or grayscale), in [~0, 1].
+    """Multi-scale SSIM of the luma of two HxWx3 uint8 RGB images, in [~0, 1].
 
     The number of scales adapts to image size (each scale must stay at
     least as large as the 11-pixel window); weights are renormalized.

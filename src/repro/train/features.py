@@ -23,11 +23,11 @@ contrast on HAM10000.
 import numpy as np
 
 from repro.jpeg.codec import ZIGZAG, to_gray, zigzag_dct
-from repro.jpeg.encoder import SCRIPT_COLOR
+from repro.jpeg.encoder import SCRIPT_PROGRESSIVE
 
 # Zigzag band edges of the luma scans of the progressive script:
 # DC | 1-5 | 6-13 | 14-21 | 22-30 | 31-40 | 41-51 | 52-63.
-BAND_EDGES = [ss for comp, ss, _, _ in SCRIPT_COLOR if comp in (None, 0)] + [64]
+BAND_EDGES = [ss for comp, ss, _, _ in SCRIPT_PROGRESSIVE if comp in (None, 0)] + [64]
 N_BANDS = len(BAND_EDGES) - 1
 
 # Per-feature (band, orientation) layout: band 0 contributes one DC
@@ -65,8 +65,7 @@ def extract_features(img: np.ndarray) -> np.ndarray:
     """Full feature vector (pixel grid + oriented band energies)."""
     gray = to_gray(img)
     pix = _grid_means(gray) / 255.0
-    coefs, _, _ = zigzag_dct(gray)
-    mags = np.abs(coefs)
+    mags = np.abs(zigzag_dct(gray))
     bands = np.array(
         [mags[:, sel].mean() if len(sel) else 0.0 for _, sel in _BAND_SELS]
     )

@@ -1,8 +1,13 @@
 """End-to-end tests of baseline/progressive JPEG files, markers, truncation."""
 import hashlib
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import repro
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,23 +22,21 @@ from repro.jpeg import (
 )
 from repro.jpeg import markers
 from repro.jpeg.codec import CoeffImage, Component, forward, tables_for_quality
-from repro.jpeg.decoder import _parse_dht
+from repro.jpeg.decoder import MAX_PIXELS, _parse_dht
 from repro.jpeg.encoder import (
+    SCRIPT_PROGRESSIVE,
     encode_baseline_from_coeffs,
     encode_progressive_from_coeffs,
-    script_for,
 )
 from repro.jpeg.huffman import segment_words
 from repro.metrics.mssim import msssim
 from repro.synth_images import SPECS, generate_image
 
 
-def _image(h=64, w=64, seed=0, color=True, noise=7.0):
+def _image(h=64, w=64, seed=0, noise=7.0):
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     g = 128 + 45 * np.sin(xx / 8) + 35 * np.cos(yy / 6 + 1) + noise * rng.standard_normal((h, w))
-    if not color:
-        return np.clip(g, 0, 255).astype(np.uint8)
     rgb = np.stack([g, 0.85 * g + 15, 250 - 0.7 * g], axis=-1)
     return np.clip(rgb, 0, 255).astype(np.uint8)
 
@@ -86,12 +89,12 @@ def test_transcode_roundtrip_to_baseline(color_pair):
     assert back == b
 
 
-@pytest.mark.parametrize("name", [*SPECS, "gray"])
+@pytest.mark.parametrize("name", [*SPECS, "61x45"])
 def test_direct_progressive_encode_equals_transcode(name):
     # build_pcr_dataset entropy-codes forward()'s coefficients as
     # progressive directly; the paper converts the baseline file. Same bytes.
-    if name == "gray":
-        cases = [(_image(61, 45, seed=3, color=False), 90)]
+    if name == "61x45":
+        cases = [(_image(61, 45, seed=3), 90)]
     else:
         spec = SPECS[name]
         cases = [(generate_image(spec, i)[0], spec.quality) for i in range(8)]
@@ -140,15 +143,6 @@ def test_truncated_decodes_without_error(color_pair, g):
     out = decode(truncate_to_scans(p, g))
     assert out.shape == img.shape
     assert out.dtype == np.uint8
-
-
-def test_grayscale_roundtrip():
-    img = _image(color=False, seed=5)
-    b = encode_baseline(img, 85)
-    p = encode_progressive_from_coeffs(forward(img, 85))
-    assert np.array_equal(decode(b), decode(p))
-    _, spans = scan_spans(p)
-    assert len(spans) == N_SCANS
 
 
 def test_non_multiple_of_8_dimensions():
@@ -242,8 +236,14 @@ _DAMAGED = {
     # The SOF claims 4 components but holds 3.
     "does not match its 4 components": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 9, 4),
     # A 2-component frame, well formed.
-    "only 1- or 3-component frames": lambda p: _edit_payload(
+    "only 3-component frames": lambda p: _edit_payload(
         p, markers.SOF2, lambda b: b[:5] + bytes([2]) + b[6:12]),
+    # A grayscale frame, well formed.
+    "3-component frames supported, got 1": lambda p: _edit_payload(
+        p, markers.SOF2, lambda b: b[:5] + bytes([1]) + b[6:9]),
+    # The SOF claims 128 pixels more than MAX_PIXELS.
+    "exceeds MAX_PIXELS": lambda p: _edit_payload(
+        p, markers.SOF2, lambda b: b[:1] + struct.pack(">HH", 1 + MAX_PIXELS // 128, 128) + b[5:]),
     # The second component takes the first one's id.
     "repeats a component id": lambda p: _set_byte(p, _segment(p, markers.SOF2).offset + 13, 1),
     # The 3-component DC scan claims 2 components.
@@ -260,6 +260,37 @@ def test_damaged_header_raises_value_error(color_pair, message):
     # ValueError, not assert: the checks hold under ``python -O`` too.
     with pytest.raises(ValueError, match=message):
         decode(_DAMAGED[message](color_pair[2]))
+
+
+# Decodes stdin's bytes under a 1 GiB address-space cap and prints the
+# outcome: the exception's type and message, or "decoded".
+_CAPPED_DECODE = """
+import resource, sys
+from repro.jpeg.decoder import decode_to_coeffs
+data = sys.stdin.buffer.read()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+try:
+    decode_to_coeffs(data)
+    print("decoded")
+except Exception as e:
+    print(type(e).__name__, e)
+"""
+
+
+def test_oversized_frame_raises_value_error_under_memory_cap():
+    # A small colour baseline file whose SOF claims 65 535 x 65 535 pixels:
+    # 16 GiB of coefficients per component. It is decoded in a child
+    # process capped at 1 GiB, where a decoder that allocates from the SOF
+    # alone raises MemoryError instead of exhausting the host's memory.
+    b = encode_baseline(_image(16, 16), 90)
+    sof = _segment(b, markers.SOF0)
+    data = b[: sof.offset + 5] + struct.pack(">HH", 65535, 65535) + b[sof.offset + 9 :]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+    out = subprocess.run([sys.executable, "-c", _CAPPED_DECODE], input=data, env=env,
+                         capture_output=True, check=True, timeout=60)
+    assert out.stdout.decode().startswith("ValueError frame of 65535x65535 pixels"), out
 
 
 def test_dc_only_scan_may_name_an_undefined_ac_table(color_pair):
@@ -307,21 +338,20 @@ def test_every_cut_serves_the_scans_it_contains():
     h=st.integers(8, 40),
     w=st.integers(8, 40),
     quality=st.integers(50, 100),
-    color=st.booleans(),
     noise=st.floats(0, 80),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=25, deadline=None)
-def test_decode_matches_forward_transform_oracle(h, w, quality, color, noise, seed):
+def test_decode_matches_forward_transform_oracle(h, w, quality, noise, seed):
     # Scan-prefix decode = forward(img) with every band outside the first
     # g scans zeroed (monotone in g, prefix = truncate_to_scans); baseline
     # decode = forward(img). forward() shares no code with the decoder.
-    img = _image(h, w, seed, color, noise)
+    img = _image(h, w, seed, noise)
     ref = [c.coeffs for c in forward(img, quality).components]
     assert all(np.array_equal(a, r) for a, r in zip(_coeffs(encode_baseline(img, quality)), ref))
     p = encode_progressive_from_coeffs(forward(img, quality))
     keep = [np.zeros(64, dtype=bool) for _ in ref]
-    for g, (comp, ss, se, _) in enumerate(script_for(len(ref)), start=1):
+    for g, (comp, ss, se, _) in enumerate(SCRIPT_PROGRESSIVE, start=1):
         for c in range(len(ref)) if comp is None else [comp]:
             keep[c][ss : se + 1] = True
         got = _coeffs(truncate_to_scans(p, g))
@@ -349,26 +379,25 @@ def test_golden_coefficient_digest():
 def test_golden_cut_baseline_digest():
     # Pins the baseline scan's decode of every cut, from the end of the
     # SOS header to the full stream: celeba_lite image 3's baseline twin
-    # and a 61x45 grayscale baseline.
+    # and the baseline file of a seeded 61x45 integer coefficient image.
     h = hashlib.sha256()
-    for b in (_celeba_pair(3)[0], encode_baseline(_image(61, 45, color=False), 90)):
+    for b in (_celeba_pair(3)[0], encode_baseline_from_coeffs(_coeff_image(61, 45, 4))):
         (sos,) = [s for s in markers.parse(b) if s.marker == markers.SOS]
         for n in range(sos.end - len(sos.entropy), len(b) + 1):
             for c in _coeffs(b[:n]):
                 h.update(c.astype("<i4").tobytes())
-    assert h.hexdigest() == "4da8bef48229f12d32f897c65b0fa64ffd9f48c89607b2a8b224640d96bede70"
+    assert h.hexdigest() == "893acdb2cd01b34c1b8e7e0e41c2cfeb82a863988fda4f181ea428fd6e78aa62"
 
 
-def _coeff_image(h, w, n_comp, seed):
+def _coeff_image(h, w, seed):
     """A seeded integer ``CoeffImage`` that exercises the entropy coder:
     Laplacian AC coefficients decaying with zigzag index, random DCs
     (diffs up to category 11), AC category 10, all-zero bands, and zero
     runs longer than 16 (ZRL), ending both before and at index 63."""
     rng = np.random.default_rng(seed)
-    nby, nbx = -(-h // 8), -(-w // 8)
-    n = nby * nbx
+    n = -(-h // 8) * -(-w // 8)
     comps = []
-    for c in range(n_comp):
+    for c in range(3):
         co = np.round(rng.laplace(0.0, 30.0 * np.exp(-np.arange(64) / 5.0), (n, 64)))
         co[:, 0] = rng.integers(-1024, 1024, n)
         co[::3, 1] = rng.choice([-1, 1], len(co[::3])) * rng.integers(512, 1024, len(co[::3]))
@@ -378,28 +407,30 @@ def _coeff_image(h, w, n_comp, seed):
         co[2::9, 63] = -1
         co[3::6, 1:] = 0
         co[:, 1:] = np.clip(co[:, 1:], -1023, 1023)
-        comps.append(Component(c + 1, min(c, 1), co.astype(np.int32), nby, nbx))
-    return CoeffImage(h, w, comps, list(tables_for_quality(75)[: min(n_comp, 2)]))
+        comps.append(Component(c + 1, min(c, 1), co.astype(np.int32)))
+    return CoeffImage(h, w, comps, list(tables_for_quality(75)))
 
 
 def _eobrun_image(nonzero_block=None):
-    """182x182 blocks of grayscale (33 124 > 0x7FFF) with every AC band
-    zero, except coefficient 1 of ``nonzero_block`` when given."""
-    nby = nbx = 182
-    co = np.zeros((nby * nbx, 64), dtype=np.int32)
-    co[:, 0] = np.arange(nby * nbx) % 23 - 11
-    if nonzero_block is not None:
-        co[nonzero_block, 1] = 5
-    return CoeffImage(8 * nby, 8 * nbx, [Component(1, 0, co, nby, nbx)],
-                      [tables_for_quality(75)[0]])
+    """182x182 blocks (33 124 > 0x7FFF) of three components with every AC
+    band zero, except coefficient 1 of ``nonzero_block`` when given."""
+    n = 182 * 182
+    comps = []
+    for c in range(3):
+        co = np.zeros((n, 64), dtype=np.int32)
+        co[:, 0] = (np.arange(n) + c) % 23 - 11
+        if nonzero_block is not None:
+            co[nonzero_block, 1] = 5
+        comps.append(Component(c + 1, min(c, 1), co))
+    return CoeffImage(8 * 182, 8 * 182, comps, list(tables_for_quality(75)))
 
 
 def _entropy_coder_inputs():
     return [
-        _coeff_image(37, 53, 3, 0),
-        _coeff_image(83, 101, 3, 1),
-        _coeff_image(29, 61, 1, 2),
-        _coeff_image(91, 45, 1, 3),
+        _coeff_image(37, 53, 0),
+        _coeff_image(83, 101, 1),
+        _coeff_image(29, 61, 2),
+        _coeff_image(91, 45, 3),
         _eobrun_image(),
         _eobrun_image(32_900),
     ]
@@ -408,13 +439,13 @@ def _entropy_coder_inputs():
 def test_golden_entropy_coder_digest():
     # Pins the entropy coder's bytes independently of forward(), so BLAS
     # cannot move it: baseline and progressive files of seeded integer
-    # coefficient images (colour/grayscale, odd sizes, DC category 11,
-    # AC category 10, ZRLs, EOB runs past 0x7FFF).
+    # coefficient images (odd sizes, DC category 11, AC category 10, ZRLs,
+    # EOB runs past 0x7FFF in every component).
     h = hashlib.sha256()
     for ci in _entropy_coder_inputs():
         h.update(encode_baseline_from_coeffs(ci))
         h.update(encode_progressive_from_coeffs(ci))
-    assert h.hexdigest() == "3a6821f19edd9e21890a7e2e6998461ea3ea0ac564654723e292e526d48d7cad"
+    assert h.hexdigest() == "4bdb2f9ab248465d5ebf371bcaa34ef56c2137b1965b6b58017d71043ec1089b"
 
 
 @pytest.mark.parametrize("encode", [encode_baseline_from_coeffs, encode_progressive_from_coeffs])
@@ -436,8 +467,8 @@ def test_eobrun_cap(nonzero_block):
     # opens with a 0x7FFF EOB14 run, and the coefficients round-trip.
     ci = _eobrun_image(nonzero_block)
     p = encode_progressive_from_coeffs(ci)
-    got = decode_to_coeffs(p).components[0].coeffs
-    assert np.array_equal(got, ci.components[0].coeffs)
+    for got, want in zip(decode_to_coeffs(p).components, ci.components, strict=True):
+        assert np.array_equal(got.coeffs, want.coeffs)
     tables = {}
     sos = []
     for s in markers.parse(p):

@@ -6,10 +6,17 @@ from repro.metrics.mssim import msssim
 
 
 def _img(seed=0, h=96, w=96):
+    """An HxWx3 RGB image whose channels are affine maps of one textured plane."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     g = 128 + 40 * np.sin(xx / 10) + 30 * np.cos(yy / 8) + 10 * rng.standard_normal((h, w))
-    return np.clip(g, 0, 255).astype(np.uint8)
+    rgb = np.stack([g, 0.9 * g + 10, 0.8 * g + 25], axis=-1)
+    return np.clip(rgb, 0, 255).astype(np.uint8)
+
+
+def _mixed_img():
+    """An RGB image whose channels come from three unrelated textures."""
+    return np.stack([_img(seed)[..., 0] for seed in range(3)], axis=-1)
 
 
 def test_identical_images_score_one():
@@ -18,7 +25,7 @@ def test_identical_images_score_one():
 
 
 def test_identical_color_images_score_one():
-    a = np.stack([_img(0), _img(1), _img(2)], axis=-1)
+    a = _mixed_img()
     assert msssim(a, a) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -37,8 +44,9 @@ def test_blur_lowers_score():
     k = np.ones((5, 5)) / 25.0
     from numpy.lib.stride_tricks import sliding_window_view
 
-    w = sliding_window_view(np.pad(a.astype(float), 2, mode="edge"), (5, 5))
-    b = (w * k).sum(axis=(2, 3))
+    w = sliding_window_view(np.pad(a.astype(float), ((2, 2), (2, 2), (0, 0)), mode="edge"),
+                            (5, 5), axis=(0, 1))
+    b = (w * k).sum(axis=(3, 4))
     assert msssim(a, b.astype(np.uint8)) < 0.99
 
 
@@ -63,7 +71,7 @@ def test_jpeg_truncation_scores_monotone():
     from repro.jpeg.codec import forward
     from repro.jpeg.encoder import encode_progressive_from_coeffs
 
-    a = np.stack([_img(0), _img(1), _img(2)], axis=-1)
+    a = _mixed_img()
     p = encode_progressive_from_coeffs(forward(a, 90))
     full = decode(p)
     scores = [

@@ -37,10 +37,12 @@ from repro.train.model import (
 
 
 def _img(seed=0):
+    """A 64x64x3 RGB image whose channels are affine maps of one textured plane."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:64, 0:64]
     g = 128 + 40 * np.sin(xx / 7) + 10 * rng.standard_normal((64, 64))
-    return np.clip(g, 0, 255).astype(np.uint8)
+    rgb = np.stack([g, 0.9 * g + 10, 0.8 * g + 25], axis=-1)
+    return np.clip(rgb, 0, 255).astype(np.uint8)
 
 
 # ---------- features ----------
