@@ -54,7 +54,7 @@ from repro.core.harness import job_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
+def spark(request) -> SparkSession:
     """One local-mode SparkSession for the whole test session, configured
     as the jobs' (``harness.job_spark``).
 
@@ -62,14 +62,17 @@ def spark() -> SparkSession:
     pre-JVM-launch).
     """
     s = job_spark("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
-    print(
-        f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
-        f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
-        file=sys.stderr,
-    )
+    # One stderr line in the test log: whether the cgroup derivation saw
+    # the real limit, and which module started the Python workers. It is
+    # written past pytest's capture, so a passing run shows it too.
+    with request.config.pluginmanager.getplugin("capturemanager").global_and_fixture_disabled():
+        print(
+            f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
+            f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
+            f"master={s.sparkContext.master} "
+            f"defaultParallelism={s.sparkContext.defaultParallelism} "
+            f"daemon={s.sparkContext.getConf().get('spark.python.daemon.module')}",
+            file=sys.stderr,
+        )
     yield s
     s.stop()

@@ -10,6 +10,7 @@ import os
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro import sparkdaemon
 from repro.core.dataset import build_pcr_dataset, metadata_path
 
 FLOAT_FMT = "{:.3g}"  # float cells of fmt_table's markdown tables
@@ -53,11 +54,14 @@ def job_spark(app: str) -> SparkSession:
     Master and driver memory are fixed at JVM launch (``spark-submit`` or
     ``PYSPARK_SUBMIT_ARGS``); the configs set here are honoured after it.
     Console progress bars are off, so a job's output is its report.
+    Python workers start from ``repro.sparkdaemon``, which imports the
+    installed pyspark instead of Spark's archives.
     """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.python.daemon.module", sparkdaemon.__name__)
         .getOrCreate()
     )

@@ -132,11 +132,10 @@ def rgb_to_ycbcr(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
-    """HxWx3 float YCbCr -> HxWx3 uint8 RGB (clipped)."""
-    t = ycc.copy()
-    t[..., 1:] -= 128.0
-    rgb = t @ _YCC2RGB.T
+def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """HxW float Y, Cb, Cr planes -> HxWx3 uint8 RGB (clipped). The chroma
+    planes are centred before stacking, on contiguous planes."""
+    rgb = np.stack((y, cb - 128.0, cr - 128.0), axis=-1) @ _YCC2RGB.T
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
 
 
@@ -219,4 +218,4 @@ def inverse(ci: CoeffImage) -> np.ndarray:
         q = ci.qtables[comp.qtab_id].astype(np.float64)
         nat = comp.coeffs[:, UNZIGZAG].astype(np.float64).reshape(-1, 8, 8)
         planes.append(blocks_to_plane(idct2(nat * q) + 128.0, ci.height, ci.width))
-    return ycbcr_to_rgb(np.stack(planes, axis=-1))
+    return ycbcr_to_rgb(*planes)

@@ -9,7 +9,8 @@ where only a prefix of the scans is present followed by EOI — decode
 cleanly: missing scans simply leave their coefficient bands at zero,
 and a scan cut mid-stream keeps whatever blocks completed (matching
 "most JPEG decoders render the image with the available subset of
-scans", paper Section 5).
+scans", paper Section 5). A run of zeros that reaches past the scan's
+band end ``Se`` raises ``ValueError`` before its coefficient is stored.
 
 There are two scan loops. ``_interleaved_scan`` decodes the scans with
 ``Ss = 0``: per block and component a DC difference, then AC ``1..Se``.
@@ -147,6 +148,8 @@ def _interleaved_scan(entropy: bytes, n_blocks: int, se: int,
                     refill_at = eof_nb if eof_nb > 32 else 32
                 if v:
                     k += r
+                    if k > se:
+                        raise ValueError(f"AC run reaches coefficient {k}, past Se = {se}")
                     out[base + k] = v
                     k += 1
                 elif r > 0:
@@ -184,6 +187,8 @@ def _ac_band_scan(entropy: bytes, n_blocks: int, ss: int, se: int,
                 refill_at = eof_nb if eof_nb > 32 else 32
             if v:
                 k += r
+                if k > se:
+                    raise ValueError(f"AC run reaches coefficient {k}, past Se = {se}")
                 out[base + k] = v
                 k += 1
             elif r > 0:

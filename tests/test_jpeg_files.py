@@ -262,6 +262,42 @@ def test_damaged_header_raises_value_error(color_pair, message):
         decode(_DAMAGED[message](color_pair[2]))
 
 
+def _runs_of_15(data):
+    """``data`` with every AC Huffman table's symbol 0x01 (run 0, size 1)
+    sent as 0xF1 (run 15, size 1): the same bits, each such run 15 longer."""
+    out = b""
+    for s in markers.parse(data):
+        seg = data[s.offset : s.end]
+        if s.marker == markers.DHT:
+            payload, i = bytearray(s.payload), 0
+            while i < len(payload):
+                n = sum(payload[i + 1 : i + 17])
+                if payload[i] >> 4 == 1:
+                    payload[i + 17 : i + 17 + n] = bytes(
+                        0xF1 if v == 0x01 else v for v in payload[i + 17 : i + 17 + n])
+                i += 17 + n
+            seg = markers.seg(markers.DHT, bytes(payload))
+        out += seg
+    return out
+
+
+@pytest.mark.parametrize("encode, k, se", [(encode_baseline_from_coeffs, 64, 63),
+                                           (encode_progressive_from_coeffs, 16, 5)])
+def test_ac_run_past_the_band_raises_value_error(encode, k, se):
+    # One block whose AC coefficients 1-8 are 1: eight (0, 1) symbols.
+    # Sent as (15, 1), the baseline scan's fourth run reaches coefficient
+    # 64, past the block, and the progressive Y 1-5 band's first run
+    # reaches 16, past the band.
+    comps = []
+    for c in range(3):
+        co = np.zeros((1, 64), np.int32)
+        co[0, 1:9] = 1
+        comps.append(Component(c + 1, min(c, 1), co))
+    data = _runs_of_15(encode(CoeffImage(8, 8, comps, list(tables_for_quality(75)))))
+    with pytest.raises(ValueError, match=f"AC run reaches coefficient {k}, past Se = {se}"):
+        decode_to_coeffs(data)
+
+
 # Decodes stdin's bytes under a 1 GiB address-space cap and prints the
 # outcome: the exception's type and message, or "decoded".
 _CAPPED_DECODE = """
