@@ -1,38 +1,39 @@
-"""Shared harness for jobs/: the dataset cache, markdown tables and the
-job SparkSession.
+"""Shared harness for jobs/: the per-process dataset builds, markdown
+tables and the job SparkSession.
 
-Datasets are built once under ``$REPRO_DATA`` (default ``.data/`` in the
-repo) and reused across jobs. The paper's cluster model lives in
-``repro.iosim``.
+A dataset is built on its first use in a process, into a temporary
+directory removed at exit, so every job reads what this code writes.
+The paper's cluster model lives in ``repro.iosim``.
 """
-import os
+import functools
+import tempfile
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import sparkdaemon
-from repro.core.dataset import build_pcr_dataset, metadata_path
+from repro.core.dataset import build_pcr_dataset
 
 FLOAT_FMT = "{:.3g}"  # float cells of fmt_table's markdown tables
 
-
-def data_root() -> str:
-    """The dataset cache's directory, as a normalized absolute path."""
-    return os.path.abspath(os.environ.get(
-        "REPRO_DATA", os.path.join(os.path.dirname(__file__), "../../../.data")
-    ))
+_BUILT: dict[tuple[str, float], str] = {}  # (name, sf) -> finished build
 
 
-def dataset_dir(name: str, sf: float = 1.0) -> str:
-    return os.path.join(data_root(), f"{name}_sf{sf:g}")
+@functools.cache
+def _scratch() -> tempfile.TemporaryDirectory:
+    """The directory of this process's builds: made on first use, removed at exit."""
+    return tempfile.TemporaryDirectory(prefix="repro-data-")
 
 
 def get_or_build(spark: SparkSession, name: str, sf: float = 1.0) -> str:
-    """Build (or reuse) a PCR dataset; returns its directory."""
-    out = dataset_dir(name, sf)
-    if not os.path.exists(metadata_path(out)):
+    """The directory of dataset ``name`` at ``sf``, built on this process's
+    first call into a fresh directory. Only a build that returned is
+    recorded, so a failed one is never served."""
+    if (name, sf) not in _BUILT:
+        out = tempfile.mkdtemp(prefix=f"{name}_sf{sf:g}_", dir=_scratch().name)
         build_pcr_dataset(spark, name, out, sf=sf)
-    return out
+        _BUILT[name, sf] = out
+    return _BUILT[name, sf]
 
 
 def fmt_table(pdf: pd.DataFrame) -> str:

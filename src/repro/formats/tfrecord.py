@@ -25,9 +25,13 @@ def _example(label: int, jpeg: bytes) -> bytes:
     return struct.pack("<iI", label, len(jpeg)) + jpeg
 
 
-def _parse_example(payload: bytes) -> tuple[int, bytes]:
-    label, n = struct.unpack("<iI", payload[:8])
-    return label, payload[8 : 8 + n]
+def _parse_example(payload: bytes, path: str, at: int) -> tuple[int, bytes]:
+    if len(payload) >= 8:
+        label, n = struct.unpack_from("<iI", payload)
+        if 8 + n == len(payload):
+            return label, payload[8:]
+    raise ValueError(f"corrupt TFRecord file {path}: the example of the record "
+                     f"at byte {at} does not hold the JPEG length it claims")
 
 
 def write_tfrecord(path: str, images: list[tuple[bytes, int]]) -> int:
@@ -51,8 +55,8 @@ def write_tfrecord(path: str, images: list[tuple[bytes, int]]) -> int:
 def read_tfrecord(path: str) -> list[tuple[int, bytes]]:
     """Read a TFRecord file; returns [(label, jpeg_bytes)].
 
-    Raises ValueError naming ``path`` on a bad CRC or a file that ends
-    inside a record.
+    Raises ValueError naming ``path`` on a bad CRC, a file that ends
+    inside a record, or an example whose JPEG length is not its payload's.
     """
     out = []
     with open(path, "rb") as f:
@@ -77,6 +81,6 @@ def read_tfrecord(path: str) -> list[tuple[int, bytes]]:
         if crc_p != _masked_crc(payload):
             raise ValueError(f"corrupt TFRecord file {path}: bad payload CRC "
                              f"of the record at byte {i}")
-        out.append(_parse_example(payload))
+        out.append(_parse_example(payload, path, i))
         i = end
     return out

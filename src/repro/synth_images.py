@@ -37,7 +37,7 @@ class DatasetSpec:
     quality: int  # JPEG quality the "original" corpus is stored at
     # Index of the DCT band (0=DC .. 9=highest, aligned with the luma
     # scan bands) where the fine-grained texture signal lives.
-    texture_band: int = 6
+    texture_band: int
     n_makes: int = 1  # >1 => hierarchical labels (cars)
     images_per_record: int = 48
 

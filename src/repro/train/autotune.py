@@ -31,20 +31,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def gradient_similarity(model: SoftmaxModel, X_full: np.ndarray,
-                        X_scan: np.ndarray, y: np.ndarray) -> float:
-    """score(D, D') = sim(grad L(X, y), grad L(X', y)) at frozen params."""
-    g_full = model.gradient_vector(X_full, y)
-    g_scan = model.gradient_vector(X_scan, y)
-    return cosine_similarity(g_full, g_scan)
-
-
 def similarity_by_scan(model: SoftmaxModel, X_by_scan: dict[int, np.ndarray],
                        y: np.ndarray) -> dict[int, float]:
-    """Similarity score of every scan group vs the highest (full) one."""
-    X_full = X_by_scan[max(X_by_scan)]
+    """score(D, D') = sim(grad L(X, y), grad L(X', y)) at frozen params, for
+    every scan group's X' against the highest (full) group's X."""
+    g_full = model.gradient_vector(X_by_scan[max(X_by_scan)], y)
     return {
-        g: gradient_similarity(model, X_full, X_by_scan[g], y)
+        g: cosine_similarity(g_full, model.gradient_vector(X_by_scan[g], y))
         for g in sorted(X_by_scan)
     }
 

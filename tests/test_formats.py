@@ -1,5 +1,6 @@
 """Unit tests for the TFRecord baseline record layout."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -58,3 +59,22 @@ def test_tfrecord_every_cut_is_rejected_or_whole(tmp_path, items):
             with pytest.raises(ValueError, match="cut.tfrec"):
                 tfrecord.read_tfrecord(str(cut))
 
+
+def _record(payload):
+    """One record framed with valid CRCs around ``payload``."""
+    hdr = struct.pack("<Q", len(payload))
+    return (hdr + struct.pack("<I", tfrecord._masked_crc(hdr)) + payload
+            + struct.pack("<I", tfrecord._masked_crc(payload)))
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x03\x00\x00\x00abc",  # shorter than the example's 8-byte header
+    struct.pack("<iI", 3, 100) + b"abc",  # claims more JPEG than it holds
+    struct.pack("<iI", 3, 1) + b"abc",  # claims less
+], ids=["short", "claims-more", "claims-less"])
+def test_tfrecord_example_must_hold_its_jpeg_length(tmp_path, payload):
+    # Both CRCs match; only the example header disagrees with its payload.
+    p = tmp_path / "bad.tfrec"
+    p.write_bytes(_record(struct.pack("<iI", 1, 2) + b"ok") + _record(payload))
+    with pytest.raises(ValueError, match="bad.tfrec: the example of the record at byte 26"):
+        tfrecord.read_tfrecord(str(p))

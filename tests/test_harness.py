@@ -1,4 +1,5 @@
-"""Tests for the experiment harness (cluster config, formatting, caching)."""
+"""Tests for the experiment harness (cluster config, formatting,
+per-process dataset builds)."""
 import os
 
 import pandas as pd
@@ -7,7 +8,8 @@ import pytest
 from repro import iosim
 from repro.core import harness
 from repro.core.analysis import scan_size_stats
-from repro.core.dataset import read_metadata
+from repro.core.dataset import collect_features, read_metadata
+from repro.synth_images import SPECS, n_images
 
 
 def test_cluster_rate_uses_paper_constants():
@@ -29,26 +31,41 @@ def test_job_spark_hides_console_progress(spark):
     assert spark.conf.get("spark.ui.showConsoleProgress") == "false"
 
 
-def test_dataset_dir_respects_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_DATA", str(tmp_path))
-    assert harness.dataset_dir("x", 0.5) == os.path.join(str(tmp_path), "x_sf0.5")
-
-
-def test_data_root_is_normalized_absolute(monkeypatch):
-    monkeypatch.delenv("REPRO_DATA", raising=False)
-    root = harness.data_root()
-    assert os.path.isabs(root) and root == os.path.normpath(root)
-    assert root == os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".data")
-
-
-def test_get_or_build_caches(spark, monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_DATA", str(tmp_path))
+def test_get_or_build_caches(spark, monkeypatch):
+    # A fresh memo: the first call builds, the second returns the same
+    # directory without touching its files.
+    monkeypatch.setattr(harness, "_BUILT", {})
+    builds = []
+    build = harness.build_pcr_dataset
+    monkeypatch.setattr(harness, "build_pcr_dataset",
+                        lambda *a, **k: builds.append(a) or build(*a, **k))
     out1 = harness.get_or_build(spark, "celeba_lite", sf=0.1)
-    marker = os.path.join(out1, "record_0000.pcr")
-    mtime = os.path.getmtime(marker)
+    mtimes = {f: os.path.getmtime(os.path.join(out1, f)) for f in os.listdir(out1)}
     out2 = harness.get_or_build(spark, "celeba_lite", sf=0.1)
-    assert out1 == out2
-    assert os.path.getmtime(marker) == mtime  # not rebuilt
+    assert out1 == out2 and len(builds) == 1
+    assert {f: os.path.getmtime(os.path.join(out2, f)) for f in os.listdir(out2)} == mtimes
+
+
+def test_get_or_build_never_serves_a_failed_build(spark, monkeypatch):
+    # A build that writes one record file and dies is not recorded: the
+    # next call builds the whole dataset again, in another directory.
+    monkeypatch.setattr(harness, "_BUILT", {})
+    build = harness.build_pcr_dataset
+    partial = []
+
+    def dies(spark, name, out, sf):
+        open(os.path.join(out, "record_0000.pcr"), "wb").close()
+        partial.append(out)
+        raise RuntimeError("killed mid-build")
+
+    monkeypatch.setattr(harness, "build_pcr_dataset", dies)
+    with pytest.raises(RuntimeError, match="killed mid-build"):
+        harness.get_or_build(spark, "celeba_lite", sf=0.1)
+    monkeypatch.setattr(harness, "build_pcr_dataset", build)
+    out = harness.get_or_build(spark, "celeba_lite", sf=0.1)
+    assert out != partial[0]
+    feats = collect_features(spark, out, 1)
+    assert len(feats) == n_images(SPECS["celeba_lite"], 0.1)
 
 
 def test_fmt_table_markdown():

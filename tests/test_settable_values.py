@@ -20,11 +20,9 @@ SETTABLE = [
     "repro/core/experiments.py: fig13_mssim(sf)",
     "repro/core/experiments.py: fig22_encoding_times(sf)",
     "repro/core/experiments.py: fig24_reader(sf)",
-    "repro/core/harness.py: dataset_dir(sf)",
     "repro/core/harness.py: get_or_build(sf)",
     "repro/jpeg/markers.py: Segment.entropy",
     "repro/jpeg/markers.py: seg(payload)",
-    "repro/synth_images.py: DatasetSpec.texture_band",
     "repro/synth_images.py: DatasetSpec.n_makes",
     "repro/synth_images.py: DatasetSpec.images_per_record",
     "repro/synth_images.py: n_images(sf)",

@@ -10,7 +10,6 @@ from repro.train.autotune import (
     WARMUP_EPOCHS,
     autotune_train,
     cosine_similarity,
-    gradient_similarity,
     similarity_by_scan,
     static_train,
 )
@@ -198,21 +197,23 @@ def test_gradient_similarity_identical_data_is_one():
     X = rng.standard_normal((64, 8))
     y = rng.integers(0, 3, 64)
     m = SoftmaxModel(8, 3)
-    assert gradient_similarity(m, X, X.copy(), y) == pytest.approx(1.0)
+    assert similarity_by_scan(m, {1: X.copy(), 10: X}, y)[1] == pytest.approx(1.0)
 
 
 def test_gradient_similarity_decreases_with_corruption():
+    # Scan groups 3, 2 and 1 hold the full data X plus noise of sigma 0,
+    # 0.5 and 3.
     rng = np.random.default_rng(0)
     X = rng.standard_normal((128, 8))
     y = (X[:, 0] > 0).astype(int)
     m = SoftmaxModel(8, 2)
     train_sgd(m, X, y, epochs=5, lr=LR)
-    sims = []
-    for sigma in [0.0, 0.5, 3.0]:
-        Xc = X + rng.standard_normal(X.shape) * sigma
-        sims.append(gradient_similarity(m, X, Xc, y))
-    assert sims[0] == pytest.approx(1.0)
-    assert sims[0] > sims[1] > sims[2]
+    by_scan = {10: X}
+    for g, sigma in [(3, 0.0), (2, 0.5), (1, 3.0)]:
+        by_scan[g] = X + rng.standard_normal(X.shape) * sigma
+    sims = similarity_by_scan(m, by_scan, y)
+    assert sims[3] == pytest.approx(1.0)
+    assert sims[3] > sims[2] > sims[1]
 
 
 def test_similarity_by_scan_keys():
