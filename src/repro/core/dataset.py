@@ -1,9 +1,10 @@
 """Spark pipelines: dataset -> PCR directory, PCR directory -> features.
 
-Every record-parallel stage is an ``fn(r)`` run by ``map_records``: one
-wave of ``min(defaultParallelism, records)`` Spark tasks, each calling
-``fn`` on a contiguous, ascending slice of record indices. Record r of k
-holds images r*n//k to (r+1)*n//k.
+Every record-parallel stage is an ``fn(r)`` run by ``map_records``: an
+RDD over one wave of ``min(defaultParallelism, records)`` Spark tasks,
+each calling ``fn`` on a contiguous, ascending slice of record indices
+and sending its plain Python results back in record order. Record r of
+k holds images r*n//k to (r+1)*n//k.
 
 Encoding (paper §5 "Encoding"): record r's task generates its images,
 quantizes each once with ``forward`` and entropy-codes those
@@ -11,21 +12,23 @@ coefficients twice: as progressive JPEG into one ``.pcr`` file and as
 baseline JPEG into a ``.tfrec`` twin for comparisons. The progressive
 bytes are exactly what the paper's lossless baseline -> progressive
 transcode of the twin gives (Fig 22 re-checks this). Per-image metadata
-— labels, task-label remappings, per-scan byte sizes — comes back as a
-DataFrame and is persisted to a parquet sidecar, playing the paper's
-SQLite/RocksDB metadata role.
+— labels, task-label remappings, per-scan byte sizes — comes back as
+one pandas frame per record, and the driver persists them to a parquet
+sidecar through Spark, playing the paper's SQLite/RocksDB metadata role.
 
 Decoding (paper §5 "Decoding"/"Loader"): in ``load_features`` the task
 holding record r does r's single prefix read at the requested scan
-group, decodes each image and extracts model features. ``collect_features`` attaches
-the sidecar's task labels and split on the driver — the
-variable-fidelity read path this reproduction is about.
+group, decodes each image and extracts model features, returning r's
+labels and feature matrix. ``collect_features`` turns those into one row
+per image and attaches the sidecar's task labels and split on the
+driver — the variable-fidelity read path this reproduction is about.
 """
 import os
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -42,10 +45,6 @@ _META_SCHEMA = (
     "is_test boolean, baseline_bytes int, progressive_bytes int, "
     "header_bytes int, "
     + ", ".join(f"scan_{g}_bytes int" for g in range(1, N_SCANS + 1))
-)
-
-_FEAT_SCHEMA = (
-    "record string, pos int, label int, features array<double>"
 )
 
 
@@ -68,21 +67,16 @@ def metadata_path(out_dir: str) -> str:
 
 
 def map_records(spark: SparkSession, n_records: int,
-                fn: Callable[[int], pd.DataFrame], schema: str) -> DataFrame:
-    """``fn(r)`` for every record index ``r`` in ``range(n_records)``: a
-    pandas frame of record ``r``'s rows. ``k = min(defaultParallelism,
+                fn: Callable[[int], object]) -> RDD:
+    """``fn(r)`` for every record index ``r`` in ``range(n_records)``, as
+    an RDD of its results in record order. ``k = min(defaultParallelism,
     n_records)`` Spark tasks run as one wave; task i calls ``fn`` on the
     contiguous slice ``i*n_records//k`` up to ``(i+1)*n_records//k`` in
-    ascending order, so rows come out in record order with no shuffle.
-    Which task handles which records is decided here alone."""
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for b in batches:
-            for r in b["id"]:
-                yield fn(int(r))
-
-    k = min(spark.sparkContext.defaultParallelism, n_records)
-    ids = spark.range(0, n_records, numPartitions=k)
-    return ids.mapInPandas(run, schema=schema)
+    ascending order (how ``parallelize`` slices a ``range``), with no
+    shuffle. Which task handles which records is decided here alone."""
+    sc = spark.sparkContext
+    k = min(sc.defaultParallelism, n_records)
+    return sc.parallelize(range(n_records), k).map(fn)
 
 
 def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
@@ -125,7 +119,8 @@ def build_pcr_dataset(spark: SparkSession, name: str, out_dir: str,
             **{f"scan_{g}_bytes": lens for g, lens in enumerate(info.scan_lens, 1)},
         })
 
-    meta = map_records(spark, n_records, encode_record, _META_SCHEMA)
+    frames = map_records(spark, n_records, encode_record).collect()
+    meta = spark.createDataFrame(pd.concat(frames, ignore_index=True), _META_SCHEMA)
     meta.write.mode("overwrite").parquet(metadata_path(out_dir))
 
 
@@ -133,38 +128,45 @@ def read_metadata(spark: SparkSession, out_dir: str) -> DataFrame:
     return spark.read.parquet(metadata_path(out_dir))
 
 
-def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> DataFrame:
+def load_features(spark: SparkSession, out_dir: str, scan_group: int) -> RDD:
     """Decode a dataset's PCRs at a scan group and extract features, in Spark.
 
     Each ``map_records`` task decodes a contiguous slice of record files,
-    one prefix read at ``scan_group`` per record. Rows come out in
-    (record, pos) order.
+    one prefix read at ``scan_group`` per record. Element r is record r's
+    ``(labels, X)``: its images' labels in pos order and the
+    (images, ``N_FEATURES``) float64 matrix of their features.
     """
     paths = record_paths(out_dir)
 
-    def decode_record(r: int) -> pd.DataFrame:
+    def decode_record(r: int) -> tuple[list[int], np.ndarray]:
         items = pcr.read_pcr(paths[r], scan_group)
-        return pd.DataFrame({
-            "record": paths[r],
-            "pos": range(len(items)),
-            "label": [label for label, _ in items],
-            "features": [extract_features(decode(j)).tolist() for _, j in items],
-        })
+        return ([label for label, _ in items],
+                np.stack([extract_features(decode(j)) for _, j in items]))
 
-    return map_records(spark, len(paths), decode_record, _FEAT_SCHEMA)
+    return map_records(spark, len(paths), decode_record)
 
 
 def collect_features(spark: SparkSession, out_dir: str,
                      scan_group: int) -> pd.DataFrame:
     """Features joined with metadata, collected to pandas (small datasets).
 
+    The per-record matrices of ``load_features`` become one row per
+    image: ``record`` (the ``record_paths`` string), ``pos`` and
+    ``label`` (int32) and ``features`` (a row of the record's matrix).
     The metadata sidecar is joined on the driver on the record's file
-    name and pos, so a moved or copied dataset directory still loads;
-    ``record`` is the ``record_paths`` string. The result carries all
-    task labels (label/make/is_zero) and the train/test split, one row
-    per image in (record, pos) order.
+    name and pos, so a moved or copied dataset directory still loads.
+    The result carries all task labels (label/make/is_zero) and the
+    train/test split, one row per image in (record, pos) order.
     """
-    feats = load_features(spark, out_dir, scan_group).toPandas()
+    paths = record_paths(out_dir)
+    records = load_features(spark, out_dir, scan_group).collect()
+    labels = [labs for labs, _ in records]
+    feats = pd.DataFrame({
+        "record": [p for p, labs in zip(paths, labels) for _ in labs],
+        "pos": np.array([pos for labs in labels for pos in range(len(labs))], np.int32),
+        "label": np.array([lab for labs in labels for lab in labs], np.int32),
+        "features": list(np.concatenate([X for _, X in records])),
+    })
     meta = pd.read_parquet(
         metadata_path(out_dir),
         columns=["record", "pos", "idx", "make", "is_zero", "is_test"],

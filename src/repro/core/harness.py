@@ -3,9 +3,14 @@ tables and the job SparkSession.
 
 A dataset is built on its first use in a process, into a temporary
 directory removed at exit, so every job reads what this code writes.
+Directories left by killed processes are removed by the next process
+that builds.
 The paper's cluster model lives in ``repro.iosim``.
 """
 import functools
+import glob
+import os
+import shutil
 import tempfile
 
 import pandas as pd
@@ -19,10 +24,32 @@ FLOAT_FMT = "{:.3g}"  # float cells of fmt_table's markdown tables
 _BUILT: dict[tuple[str, float], str] = {}  # (name, sf) -> finished build
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        return True
+    return True
+
+
+def _remove_dead_builds() -> None:
+    """Remove the build directories of processes that are gone: a killed
+    job never reaches the exit that would have removed its own."""
+    for d in glob.glob(os.path.join(tempfile.gettempdir(), "repro-data-*-*")):
+        pid = os.path.basename(d).split("-")[2]
+        if pid.isdigit() and not _alive(int(pid)):
+            shutil.rmtree(d, ignore_errors=True)
+
+
 @functools.cache
 def _scratch() -> tempfile.TemporaryDirectory:
-    """The directory of this process's builds: made on first use, removed at exit."""
-    return tempfile.TemporaryDirectory(prefix="repro-data-")
+    """The directory of this process's builds, ``repro-data-<pid>-*``:
+    made on first use, removed at exit. The first use also removes the
+    directories of dead processes."""
+    _remove_dead_builds()
+    return tempfile.TemporaryDirectory(prefix=f"repro-data-{os.getpid()}-")
 
 
 def get_or_build(spark: SparkSession, name: str, sf: float = 1.0) -> str:

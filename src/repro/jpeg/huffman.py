@@ -20,6 +20,7 @@ yields a whole symbol together with its extra bits, so the decoder's
 scan loops spend one lookup per coefficient. ``segment_words`` unstuffs
 a segment into 32-bit words for them.
 """
+import functools
 import heapq
 import struct
 from dataclasses import dataclass, field
@@ -192,9 +193,6 @@ def extend(bits_value: int, size: int) -> int:
     return bits_value
 
 
-_EXTENDED = [tuple(extend(x, s) for x in range(1 << s)) for s in range(LOOKAHEAD_BITS + 1)]
-
-
 def _extra_bits(symbol: int) -> int:
     """Number of bits that follow ``symbol``'s code in the stream.
 
@@ -220,6 +218,21 @@ def _entry(length: int, symbol: int, extra: int) -> tuple[int, int, int]:
     return length + run, -((1 << run) + extra), 0  # end of band
 
 
+@functools.cache
+def _piece(length: int, symbol: int) -> tuple[tuple[int, int, int], ...]:
+    """The ``2**(LOOKAHEAD_BITS - length)`` entries of ``Lookahead.fast``
+    for ``symbol`` coded in ``length`` bits, one per value of the bits
+    that follow the code: ``_entry`` of its extra bits when they fit,
+    else ``(length, symbol, None)``. Cached per pair, as every image
+    carries its own tables but few distinct pairs occur."""
+    rest = LOOKAHEAD_BITS - length
+    n = _extra_bits(symbol)
+    if n > rest:
+        return ((length, symbol, None),) * (1 << rest)
+    return tuple(e for x in range(1 << n)
+                 for e in (_entry(length, symbol, x),) * (1 << (rest - n)))
+
+
 class Lookahead:
     """One-lookup decode table for a ``HuffmanTable``.
 
@@ -243,32 +256,17 @@ class Lookahead:
     __slots__ = ("fast", "_maxcode", "_valoff", "_values")
 
     def __init__(self, table: HuffmanTable):
-        k = LOOKAHEAD_BITS
-        fast = [(0, 0, None)] * (1 << k)
-        for symbol, code, length in table.codes():
-            if length > k:
-                break
-            lo, hi = code << (k - length), (code + 1) << (k - length)
-            used = length + _extra_bits(symbol)
-            if used > k:
-                fast[lo:hi] = [(length, symbol, None)] * (hi - lo)
-                continue
-            # The same entries as _entry(length, symbol, x) for every x.
-            run, size = symbol >> 4, symbol & 0xF
-            if size:
-                entries = [(used, run, v) for v in _EXTENDED[size]]
-            elif run == 15:
-                entries = [(used, 15, 0)]
-            else:
-                entries = [(used, -n, 0) for n in range(1 << run, 2 << run)]
-            rep = 1 << (k - used)
-            if rep < len(entries):
-                for j in range(rep):
-                    fast[lo + j : hi : rep] = entries
-            else:
-                for i, e in enumerate(entries):
-                    fast[lo + i * rep : lo + (i + 1) * rep] = [e] * rep
-        self.fast = fast
+        # Canonical codes of up to LOOKAHEAD_BITS bits tile ``fast`` in
+        # code order, each over its own piece of the table.
+        fast = []
+        values = iter(table.values)
+        for length, count in enumerate(table.bits[:LOOKAHEAD_BITS], 1):
+            for _ in range(count):
+                fast += _piece(length, next(values))
+        n = 1 << LOOKAHEAD_BITS
+        # An over-subscribed table's pieces run past the end: no window
+        # reaches them.
+        self.fast = fast[:n] + [(0, 0, None)] * (n - len(fast))
         self._maxcode = [-1] * (MAX_CODE_LEN + 1)
         self._valoff = [0] * (MAX_CODE_LEN + 1)
         self._values = table.values

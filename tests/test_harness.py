@@ -1,6 +1,9 @@
 """Tests for the experiment harness (cluster config, formatting,
 per-process dataset builds)."""
 import os
+import subprocess
+import sys
+import tempfile
 
 import pandas as pd
 import pytest
@@ -66,6 +69,23 @@ def test_get_or_build_never_serves_a_failed_build(spark, monkeypatch):
     assert out != partial[0]
     feats = collect_features(spark, out, 1)
     assert len(feats) == n_images(SPECS["celeba_lite"], 0.1)
+
+
+def test_scratch_removes_the_builds_of_dead_processes(tmp_path, monkeypatch):
+    """A build directory named for an exited child's pid is removed; one
+    named for this process is kept, and this process's own is named so."""
+    assert os.path.basename(harness._scratch().name).startswith(
+        f"repro-data-{os.getpid()}-")
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    dead = tmp_path / f"repro-data-{child.pid}-abc"
+    (dead / "celeba_lite_sf1_x").mkdir(parents=True)
+    mine = tmp_path / f"repro-data-{os.getpid()}-def"
+    mine.mkdir()
+    harness._remove_dead_builds()
+    assert not dead.exists()
+    assert mine.exists()
 
 
 def test_fmt_table_markdown():

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg.decoder import _interleaved_scan
+from repro import synth_images
+from repro.jpeg import markers
+from repro.jpeg.codec import forward
+from repro.jpeg.decoder import _interleaved_scan, _parse_dht
+from repro.jpeg.encoder import encode_baseline_from_coeffs, encode_progressive_from_coeffs
 from repro.jpeg.huffman import (
     LOOKAHEAD_BITS,
     MAX_CODE_LEN,
     HuffmanTable,
+    Lookahead,
     build_optimal_table,
     extend,
     magnitude_bits,
@@ -145,6 +150,64 @@ def test_decoder_lut_consistent_with_encoder():
                 else:
                     assert look.fast[head >> (32 - k)][2] is None
                     assert look.slow(head | ((1 << (32 - l - n)) - 1)) == expected
+
+
+def _reference_fast(table):
+    """``Lookahead.fast`` by slice assignment: each code of up to
+    LOOKAHEAD_BITS bits fills its own range of the table, entry by entry.
+    Codes of an over-subscribed table that fall past the end are dropped."""
+    k = LOOKAHEAD_BITS
+    fast = [(0, 0, None)] * (1 << k)
+    for s, c, l in table.codes():
+        if l > k or (c + 1) << (k - l) > 1 << k:
+            break
+        lo, hi = c << (k - l), (c + 1) << (k - l)
+        n = _n_extra(s)
+        fast[lo:hi] = [
+            (l, s, None) if l + n > k else _expected_entry(s, l, (w - lo) >> (k - l - n))
+            for w in range(lo, hi)
+        ]
+    return fast
+
+
+DATASET_IMAGES = 12  # first images of each dataset whose tables test_lookahead_fast_* reads
+
+
+def _dataset_tables():
+    """The DC and AC tables of the progressive and baseline files of
+    each dataset's first ``DATASET_IMAGES`` images."""
+    for spec in synth_images.SPECS.values():
+        for i in range(DATASET_IMAGES):
+            ci = forward(synth_images.generate_image(spec, i)[0], spec.quality)
+            for data in (encode_progressive_from_coeffs(ci), encode_baseline_from_coeffs(ci)):
+                for seg in markers.parse(data):
+                    if seg.marker == markers.DHT:
+                        tables = {}
+                        _parse_dht(seg.payload, tables)
+                        yield from tables.values()
+
+
+def test_lookahead_fast_equals_reference_on_dataset_tables():
+    tables = list(_dataset_tables())
+    assert len({(tuple(t.bits), tuple(t.values)) for t in tables}) > 100
+    for table in tables:
+        assert Lookahead(table).fast == _reference_fast(table)
+
+
+def test_lookahead_fast_equals_reference_on_oversubscribed_and_empty_bits():
+    rng = np.random.default_rng(0)
+    tables = [
+        HuffmanTable(bits=[0] * 16, values=[]),
+        HuffmanTable(bits=[3] + [0] * 15, values=[0, 1, 2]),
+        HuffmanTable(bits=[0, 0, 9] + [0] * 13, values=list(range(0xF0, 0xF9))),
+        HuffmanTable(bits=[1] * 16, values=list(range(16))),
+    ]
+    for _ in range(300):
+        bits = (rng.integers(0, 6, 16) * (rng.random(16) < 0.4)).tolist()
+        tables.append(HuffmanTable(bits=bits, values=rng.integers(0, 256, sum(bits)).tolist()))
+    assert any(sum(b << (16 - l) for l, b in enumerate(t.bits, 1)) > 1 << 16 for t in tables)
+    for table in tables:
+        assert Lookahead(table).fast == _reference_fast(table)
 
 
 @pytest.mark.parametrize("seed", [*range(4), "deep"])

@@ -2,7 +2,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.dataset import load_features, read_metadata
+from repro.core.dataset import collect_features, read_metadata
 from repro.oracle import assert_equivalent
 
 SIZES_BY_LABEL = (
@@ -29,9 +29,11 @@ def test_oracle_rejects_wrong_result(spark, celeba_dir):
 
 
 def test_oracle_join_path(spark, celeba_dir):
-    """A Spark join of loader output to the metadata sidecar, checked
-    against DuckDB (``collect_features`` itself joins in pandas)."""
-    feats = load_features(spark, celeba_dir, 1).select("record", "pos", "label")
+    """A Spark join of the loader's (record, pos, label) rows to the
+    metadata sidecar, checked against DuckDB (``collect_features``
+    itself joins in pandas)."""
+    feats = spark.createDataFrame(
+        collect_features(spark, celeba_dir, 1)[["record", "pos", "label"]])
     meta = read_metadata(spark, celeba_dir)
     got = (
         feats.join(meta.select("record", "pos", "is_test"), on=["record", "pos"])

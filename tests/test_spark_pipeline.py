@@ -23,7 +23,7 @@ from repro.formats import tfrecord
 from repro.jpeg import N_SCANS, decode
 from repro.oracle import assert_equivalent
 from repro.synth_images import SPECS, n_images
-from repro.train.features import extract_features
+from repro.train.features import N_FEATURES, extract_features
 
 
 def test_record_files_exist(spark, celeba_dir):
@@ -90,12 +90,13 @@ def test_metadata_oracle_label_histogram(spark, celeba_dir):
 
 @pytest.mark.parametrize("g", [1, 5, 10])
 def test_load_features_shape(spark, celeba_dir, g):
-    df = load_features(spark, celeba_dir, g)
-    rows = df.collect()
-    assert len(rows) == n_images(SPECS["celeba_lite"], 0.25)
-    from repro.train.features import N_FEATURES
-
-    assert all(len(r["features"]) == N_FEATURES for r in rows)
+    """One (labels, features matrix) per record, one matrix row per image."""
+    records = load_features(spark, celeba_dir, g).collect()
+    assert len(records) == len(record_paths(celeba_dir))
+    assert sum(len(labels) for labels, _ in records) == n_images(SPECS["celeba_lite"], 0.25)
+    for labels, X in records:
+        assert X.dtype == np.float64
+        assert X.shape == (len(labels), N_FEATURES)
 
 
 def test_tfrecord_path_swaps_only_the_suffix():
@@ -106,35 +107,32 @@ def test_tfrecord_path_swaps_only_the_suffix():
                          ids=["1", "parallelism", "2*parallelism+1"])
 def test_map_records_one_wave_of_contiguous_slices(spark, n_of_p):
     """min(defaultParallelism, n) non-empty partitions whose ids ascend
-    without a gap, each id yielded once."""
+    without a gap, task i holding ids i*n//k up to (i+1)*n//k, each id
+    yielded once."""
     p = spark.sparkContext.defaultParallelism
     n = n_of_p(p)
-    df = map_records(spark, n, lambda r: pd.DataFrame({"r": [r]}), "r long")
-    parts = [[row["r"] for row in part] for part in df.rdd.glom().collect()]
-    assert len(parts) == min(p, n)
+    k = min(p, n)
+    parts = map_records(spark, n, lambda r: r).glom().collect()
+    assert parts == [list(range(i * n // k, (i + 1) * n // k)) for i in range(k)]
     assert all(parts), parts
-    assert all(part == list(range(part[0], part[0] + len(part))) for part in parts)
-    assert sorted(r for part in parts for r in part) == list(range(n))
 
 
 @pytest.mark.parametrize("dataset", ["celeba_dir", "cars_dir"])
 def test_load_features_one_task_wave(spark, request, dataset):
     """min(defaultParallelism, records) tasks, each holding a contiguous
-    slice of whole records in (record, pos) order, and no shuffle
-    anywhere in the executed plan."""
+    slice of whole records in record order."""
     out = request.getfixturevalue(dataset)
-    df = load_features(spark, out, 1)
-    parts = df.rdd.glom().collect()
+    parts = load_features(spark, out, 1).glom().collect()
     paths = record_paths(out)
-    assert len(parts) == min(spark.sparkContext.defaultParallelism, len(paths))
-    # Read partition after partition, the rows are every record's rows in
-    # (record, pos) order; no partition is empty or shares a record.
-    flat = [(r["record"], r["pos"]) for part in parts for r in part]
-    assert flat == [(p, i) for p in paths
-                    for i in range(pcr.read_index(p).n_images)]
-    records = [{r["record"] for r in part} for part in parts]
-    assert all(records) and sum(map(len, records)) == len(paths), records
-    assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
+    k = min(spark.sparkContext.defaultParallelism, len(paths))
+    assert len(parts) == k
+    assert all(parts), parts
+    # Read partition after partition, the elements are every record's
+    # labels in record order.
+    assert [labels for part in parts for labels, _ in part] == [
+        pcr.read_index(p).labels for p in paths]
+    assert [len(part) for part in parts] == [
+        (i + 1) * len(paths) // k - i * len(paths) // k for i in range(k)]
 
 
 @pytest.mark.parametrize("dataset,name,sf", [("celeba_dir", "celeba_lite", 0.25),
@@ -155,6 +153,24 @@ def test_record_layout(request, dataset, name, sf):
         assert rows["pos"].tolist() == list(range(len(rows)))
         assert rows["idx"].tolist() == list(range(r * n // k, (r + 1) * n // k))
     assert len(meta) == n
+
+
+@pytest.mark.parametrize("g", [1, 5, 10])
+def test_collect_features_frame(spark, celeba_dir, g):
+    """Column order and dtypes are pinned, and every image's features are
+    bit-equal to a serial read_pcr -> decode -> extract_features."""
+    pdf = collect_features(spark, celeba_dir, g)
+    assert list(pdf.dtypes.astype(str).items()) == [
+        ("record", "object"), ("pos", "int32"), ("label", "int32"),
+        ("features", "object"), ("idx", "int64"), ("make", "int32"),
+        ("is_zero", "int32"), ("is_test", "bool"),
+    ]
+    want = [(path, pos, label, extract_features(decode(jpeg)))
+            for path in record_paths(celeba_dir)
+            for pos, (label, jpeg) in enumerate(pcr.read_pcr(path, g))]
+    assert list(zip(pdf["record"], pdf["pos"], pdf["label"])) == [w[:3] for w in want]
+    for got, (*_, feats) in zip(pdf["features"], want):
+        assert got.dtype == feats.dtype and got.tobytes() == feats.tobytes()
 
 
 def test_collect_features_join_complete(spark, celeba_dir):
