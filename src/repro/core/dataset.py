@@ -174,10 +174,11 @@ def collect_features(spark: SparkSession, out_dir: str,
     # The sidecar keeps the paths the build wrote: key its rows by file
     # name to this directory's record_paths strings.
     meta["record"] = [os.path.join(out_dir, os.path.basename(p)) for p in meta["record"]]
+    # An inner merge keeps the left frame's (record, pos) order.
     pdf = feats.merge(meta, on=["record", "pos"], validate="one_to_one")
     if not len(pdf) == len(feats) == len(meta):
         raise ValueError(f"{out_dir}: images and metadata rows do not match")
-    return pdf.sort_values(["record", "pos"], ignore_index=True)
+    return pdf
 
 
 def features_to_arrays(pdf: pd.DataFrame, label_col: str = "label"):

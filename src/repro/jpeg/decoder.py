@@ -24,8 +24,8 @@ prototype of that merge decoded 1.08-1.28x slower (scan 1 worst).
 Each scan loop keeps its bit buffer in local variables: ``acc`` holds
 ``nb`` unread bits, at least 32 between symbols (a code plus its extra
 bits is at most 31), refilled a 32-bit word at a time from
-``huffman.segment_words``. One ``Lookahead`` lookup on the next
-``LOOKAHEAD_BITS`` bits decodes a symbol with its extra bits.
+``huffman.segment_words``. One lookup in the table's ``fast`` list on
+the next ``LOOKAHEAD_BITS`` bits decodes a symbol with its extra bits.
 A symbol whose bits run past the segment's real bits raises EOFError
 before its value is stored: with ``wi`` words loaded, that is ``nb``
 falling below ``eof_nb = 32 * wi - n_bits``. Values are stored at flat
@@ -111,8 +111,7 @@ def _interleaved_scan(entropy: bytes, n_blocks: int, se: int,
     refill_at = eof_nb if eof_nb > 32 else 32
     # A DC-only scan never reads the AC table its SOS names.
     comps = [
-        (d.lookahead.fast, d.lookahead.slow,
-         a.lookahead.fast if se else None, a.lookahead.slow if se else None, o)
+        (d.fast, d.slow, a.fast if se else None, a.slow if se else None, o)
         for d, a, o in zip(dc_tabs, ac_tabs, outs)
     ]
     preds = [0] * len(comps)
@@ -166,7 +165,7 @@ def _ac_band_scan(entropy: bytes, n_blocks: int, ss: int, se: int,
     acc, nb, wi = words[0] << 32 | words[1], 64, 2
     eof_nb = 64 - n_bits
     refill_at = eof_nb if eof_nb > 32 else 32
-    fast, slow = tab.lookahead.fast, tab.lookahead.slow
+    fast, slow = tab.fast, tab.slow
     b = 0
     while b < n_blocks:
         base = b << 6

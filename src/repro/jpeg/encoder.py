@@ -69,7 +69,6 @@ N_SCANS = len(SCRIPT_PROGRESSIVE)
 # DC table slots, tables _AC + 0-3 its AC table slots.
 _AC = 4
 _N_TABLES = 2 * _AC
-_SYMBOLS = np.arange(256)
 
 
 def ac_symbols(band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -202,7 +201,7 @@ def _encode(ci: CoeffImage, script: Script) -> bytes:
     book_words, book_nbits = np.zeros((2, _N_TABLES * 256), np.int64)
     for k, table in tables.items():
         at = slice(k * 256, (k + 1) * 256)
-        book_words[at], book_nbits[at] = table.words(_SYMBOLS, 0)
+        book_words[at], book_nbits[at] = table.book()
 
     out = _header(ci, markers.SOF2 if progressive else markers.SOF0)
     dht = {k: bytes([k // _AC << 4 | k % _AC, *t.bits, *t.values]) for k, t in tables.items()}

@@ -8,22 +8,22 @@ reserved symbol that guarantees no code is all ones, and the >16-bit
 length adjustment), which libjpeg forces on for progressive scans — we
 use it for every scan so baseline/progressive sizes are comparable.
 
-Encoding works on whole arrays of symbols: ``HuffmanTable.words`` turns
-symbols and their extra bits into code words (``code << n | extra``,
-at most 32 bits), and ``pack_scan`` concatenates a scan's words MSB
-first, pads the last byte with 1-bits and 0xFF-stuffs the result once,
-as libjpeg's ``jchuff.c`` ``emit_bits`` does a word at a time.
+Encoding works on whole arrays of symbols: a scan's code words are
+``words[sym] | extra`` from ``HuffmanTable.book`` (at most 32 bits), and
+``pack_scan`` concatenates them MSB first, pads the last byte with
+1-bits and 0xFF-stuffs the result once, as libjpeg's ``jchuff.c``
+``emit_bits`` does a word at a time.
 
-Decoding uses ``Lookahead`` tables (the libjpeg ``jdhuff.c`` fast path,
+Decoding uses ``HuffmanTable.fast`` (the libjpeg ``jdhuff.c`` fast path,
 T.81 Annex F): one list lookup on the next ``LOOKAHEAD_BITS`` bits
 yields a whole symbol together with its extra bits, so the decoder's
-scan loops spend one lookup per coefficient. ``segment_words`` unstuffs
-a segment into 32-bit words for them.
+scan loops spend one lookup per coefficient (``slow`` for the rest).
+``segment_words`` unstuffs a segment into 32-bit words for them.
 """
 import functools
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,17 @@ LOOKAHEAD_BITS = 10
 
 @dataclass
 class HuffmanTable:
-    """A canonical JPEG Huffman table.
+    """A canonical JPEG Huffman table, for both coders.
 
     ``bits[i]`` is the number of codes of length ``i+1`` (i in 0..15);
-    ``values`` are the symbols in canonical order.
+    ``values`` are the symbols in canonical order. The encoder's ``book``
+    and the decoder's tables all come from the one walk ``codes``; the
+    decoder's are built on first use, as a progressive header carries
+    every table but a scan-1 read decodes with the DC tables only.
     """
 
     bits: list[int]
     values: list[int]
-    _book: tuple[np.ndarray, np.ndarray] = field(
-        init=False, default=None, repr=False, compare=False)
-    _look: "Lookahead" = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bits) != MAX_CODE_LEN or sum(self.bits) != len(self.values):
@@ -65,25 +65,82 @@ class HuffmanTable:
             code <<= 1
         return out
 
-    def words(self, sym: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Code words of symbols ``sym``, each followed by its extra bits
-        ``extra``: ``(code << n | extra, length + n)`` with ``n`` the
-        symbol's extra bit count (``EXTRA_BITS``)."""
-        if self._book is None:
-            sym_, code, length = zip(*self.codes())
-            self._book = np.zeros(256, np.int64), np.zeros(256, np.int64)
-            self._book[0][list(sym_)] = code
-            self._book[1][list(sym_)] = length
-        code, length = self._book
+    def book(self) -> tuple[np.ndarray, np.ndarray]:
+        """Code words of symbols 0..255, each shifted left past its extra
+        bits: ``(code << n, length + n)`` with ``n`` the symbol's extra bit
+        count (``EXTRA_BITS``), zero for symbols the table lacks. A symbol
+        followed by extra bits ``x`` is the word ``words[symbol] | x``."""
+        sym, code, length = np.array(self.codes(), np.int64).reshape(-1, 3).T
         n = EXTRA_BITS[sym]
-        return code[sym] << n | extra, length[sym] + n
+        words, nbits = np.zeros((2, 256), np.int64)
+        words[sym], nbits[sym] = code << n, length + n
+        return words, nbits
 
-    @property
-    def lookahead(self) -> "Lookahead":
-        """Decode table, built on first use."""
-        if self._look is None:
-            self._look = Lookahead(self)
-        return self._look
+    @functools.cached_property
+    def fast(self) -> list[tuple[int, int, int | None]]:
+        """One-lookup decode table.
+
+        ``fast[w]``, for ``w`` the next ``LOOKAHEAD_BITS`` bits of the
+        stream, is ``(bits consumed, run, value)`` for the symbol that
+        starts ``w`` together with its extra bits, whenever both fit in
+        ``w``:
+
+        * ``value != 0``: a coefficient after ``run`` zeros (AC), or a DC
+          difference;
+        * ``value == 0, run == 15``: ZRL, sixteen zeros;
+        * ``value == 0, run < 0``: end of band for ``-run`` blocks (1 for
+          EOB, ``2**r + bits`` for EOBr). A DC category-0 symbol reads as
+          this form too, i.e. as a zero difference.
+
+        Otherwise ``value`` is None and ``slow`` decodes the symbol from a
+        32-bit window: the entry is ``(code length, symbol, None)`` when
+        the code fits but its extra bits do not, and ``(0, 0, None)`` when
+        the code is longer than ``LOOKAHEAD_BITS``.
+        """
+        # Codes of up to LOOKAHEAD_BITS bits tile the table in code order,
+        # each over its own piece of it.
+        fast = []
+        for symbol, _, length in self.codes():
+            if length > LOOKAHEAD_BITS:
+                break
+            fast += _piece(length, symbol)
+        n = 1 << LOOKAHEAD_BITS
+        # An over-subscribed table's pieces run past the end: no window
+        # reaches them. Cut and padded in place, as a copy of the list
+        # took a third of the build.
+        del fast[n:]
+        fast += [(0, 0, None)] * (n - len(fast))
+        return fast
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[list[int], list[int]]:
+        """libjpeg's ``maxcode`` and ``valoff`` per code length: the last
+        code of that length (-1 if none), and what turns a code of that
+        length into its symbol's index in ``values``."""
+        maxcode, valoff = [-1] * (MAX_CODE_LEN + 1), [0] * (MAX_CODE_LEN + 1)
+        for k, (_, code, length) in enumerate(self.codes()):
+            maxcode[length], valoff[length] = code, k - code
+        return maxcode, valoff
+
+    def slow(self, window: int) -> tuple[int, int, int]:
+        """Decode the symbol that starts the 32-bit ``window``; codes
+        longer than ``LOOKAHEAD_BITS`` by libjpeg's ``maxcode`` search.
+
+        Raises EOFError when no code matches, as happens when the window
+        runs into the 1-bits padding a truncated stream.
+        """
+        length, symbol, _ = self.fast[window >> (32 - LOOKAHEAD_BITS)]
+        if not length:
+            maxcode, valoff = self._bounds
+            for length in range(LOOKAHEAD_BITS + 1, MAX_CODE_LEN + 1):
+                code = window >> (32 - length)
+                if code <= maxcode[length]:
+                    symbol = self.values[code + valoff[length]]
+                    break
+            else:
+                raise EOFError("invalid or truncated Huffman code")
+        n = _extra_bits(symbol)
+        return _entry(length, symbol, (window >> (32 - length - n)) & ((1 << n) - 1))
 
 
 def build_optimal_table(freqs: np.ndarray) -> HuffmanTable:
@@ -220,7 +277,7 @@ def _entry(length: int, symbol: int, extra: int) -> tuple[int, int, int]:
 
 @functools.cache
 def _piece(length: int, symbol: int) -> tuple[tuple[int, int, int], ...]:
-    """The ``2**(LOOKAHEAD_BITS - length)`` entries of ``Lookahead.fast``
+    """The ``2**(LOOKAHEAD_BITS - length)`` entries of ``HuffmanTable.fast``
     for ``symbol`` coded in ``length`` bits, one per value of the bits
     that follow the code: ``_entry`` of its extra bits when they fit,
     else ``(length, symbol, None)``. Cached per pair, as every image
@@ -231,71 +288,6 @@ def _piece(length: int, symbol: int) -> tuple[tuple[int, int, int], ...]:
         return ((length, symbol, None),) * (1 << rest)
     return tuple(e for x in range(1 << n)
                  for e in (_entry(length, symbol, x),) * (1 << (rest - n)))
-
-
-class Lookahead:
-    """One-lookup decode table for a ``HuffmanTable``.
-
-    ``fast[w]``, for ``w`` the next ``LOOKAHEAD_BITS`` bits of the stream,
-    is ``(bits consumed, run, value)`` for the symbol that starts ``w``
-    together with its extra bits, whenever both fit in ``w``:
-
-    * ``value != 0``: a coefficient after ``run`` zeros (AC), or a DC
-      difference;
-    * ``value == 0, run == 15``: ZRL, sixteen zeros;
-    * ``value == 0, run < 0``: end of band for ``-run`` blocks (1 for
-      EOB, ``2**r + bits`` for EOBr). A DC category-0 symbol reads as
-      this form too, i.e. as a zero difference.
-
-    Otherwise ``value`` is None and ``slow`` decodes the symbol from a
-    32-bit window: the entry is ``(code length, symbol, None)`` when the
-    code fits but its extra bits do not, and ``(0, 0, None)`` when the
-    code is longer than ``LOOKAHEAD_BITS`` (libjpeg's ``maxcode`` search).
-    """
-
-    __slots__ = ("fast", "_maxcode", "_valoff", "_values")
-
-    def __init__(self, table: HuffmanTable):
-        # Canonical codes of up to LOOKAHEAD_BITS bits tile ``fast`` in
-        # code order, each over its own piece of the table.
-        fast = []
-        values = iter(table.values)
-        for length, count in enumerate(table.bits[:LOOKAHEAD_BITS], 1):
-            for _ in range(count):
-                fast += _piece(length, next(values))
-        n = 1 << LOOKAHEAD_BITS
-        # An over-subscribed table's pieces run past the end: no window
-        # reaches them.
-        self.fast = fast[:n] + [(0, 0, None)] * (n - len(fast))
-        self._maxcode = [-1] * (MAX_CODE_LEN + 1)
-        self._valoff = [0] * (MAX_CODE_LEN + 1)
-        self._values = table.values
-        code = first = 0
-        for length in range(1, MAX_CODE_LEN + 1):
-            count = table.bits[length - 1]
-            if count:
-                self._valoff[length] = first - code
-                self._maxcode[length] = code + count - 1
-            code = (code + count) << 1
-            first += count
-
-    def slow(self, window: int) -> tuple[int, int, int]:
-        """Decode the symbol that starts the 32-bit ``window``.
-
-        Raises EOFError when no code matches, as happens when the window
-        runs into the 1-bits padding a truncated stream.
-        """
-        length, symbol, _ = self.fast[window >> (32 - LOOKAHEAD_BITS)]
-        if not length:
-            for length in range(LOOKAHEAD_BITS + 1, MAX_CODE_LEN + 1):
-                code = window >> (32 - length)
-                if code <= self._maxcode[length]:
-                    symbol = self._values[code + self._valoff[length]]
-                    break
-            else:
-                raise EOFError("invalid or truncated Huffman code")
-        n = _extra_bits(symbol)
-        return _entry(length, symbol, (window >> (32 - length - n)) & ((1 << n) - 1))
 
 
 def segment_words(data: bytes) -> tuple[tuple[int, ...], int]:

@@ -49,7 +49,7 @@ SPECS: dict[str, DatasetSpec] = {
     "celeba_lite": DatasetSpec("celeba_lite", 288, 80, 2, 75, texture_band=1),
 }
 
-def _band_frequency(band: int, size: int) -> float:
+def _band_frequency(band: int) -> float:
     """A spatial frequency (cycles/pixel) that lands in DCT band ``band``.
 
     Zigzag index z corresponds to |u|+|v| ~ sqrt-ish radial frequency;
@@ -87,7 +87,7 @@ def _class_texture(cls: int, n_classes: int, size: int, band: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Band-limited oriented grating encoding the fine label."""
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    f = _band_frequency(band, size)
+    f = _band_frequency(band)
     theta = np.pi * (cls + 0.5) / max(n_classes, 1)
     phase = rng.uniform(0, 2 * np.pi)
     g = np.sin(2 * np.pi * f * (xx * np.cos(theta) + yy * np.sin(theta)) + phase)

@@ -1,5 +1,7 @@
 """Unit tests for Huffman coding, scan packing and unpacking (incl.
 hypothesis roundtrips)."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from repro.jpeg.huffman import (
     LOOKAHEAD_BITS,
     MAX_CODE_LEN,
     HuffmanTable,
-    Lookahead,
     build_optimal_table,
     extend,
     magnitude_bits,
@@ -134,26 +135,31 @@ def test_canonical_code_assignment():
 
 
 def test_decoder_lut_consistent_with_encoder():
-    # Every (code, extra bits) of every symbol decodes to its entry: from
-    # the fast table when both fit in LOOKAHEAD_BITS, else via ``slow``.
+    # Every symbol's ``book`` word, followed by each value of its extra
+    # bits, decodes to the symbol's entry: from the fast table when both
+    # fit in LOOKAHEAD_BITS, else via ``slow``. Symbols the table lacks
+    # have no word.
     k = LOOKAHEAD_BITS
-    for table in (_simple_table(), build_optimal_table(_deep_freqs())):
-        look = table.lookahead
-        for s, c, l in table.codes():
+    for table in (_simple_table(), build_optimal_table(_deep_freqs()), *_dataset_tables()):
+        words, nbits = table.book()
+        absent = np.setdiff1d(np.arange(256), table.values)
+        assert not words[absent].any() and not nbits[absent].any()
+        for s, _, l in table.codes():
             n = _n_extra(s)
+            assert nbits[s] == l + n
             for x in range(1 << n):
-                head = (c << n | x) << (32 - l - n)
+                head = int(words[s] | x) << (32 - l - n)
                 expected = _expected_entry(s, l, x)
                 if l + n <= k:
                     lo = head >> (32 - k)
-                    assert set(look.fast[lo : lo + (1 << (k - l - n))]) == {expected}
+                    assert set(table.fast[lo : lo + (1 << (k - l - n))]) == {expected}
                 else:
-                    assert look.fast[head >> (32 - k)][2] is None
-                    assert look.slow(head | ((1 << (32 - l - n)) - 1)) == expected
+                    assert table.fast[head >> (32 - k)][2] is None
+                    assert table.slow(head | ((1 << (32 - l - n)) - 1)) == expected
 
 
 def _reference_fast(table):
-    """``Lookahead.fast`` by slice assignment: each code of up to
+    """``HuffmanTable.fast`` by slice assignment: each code of up to
     LOOKAHEAD_BITS bits fills its own range of the table, entry by entry.
     Codes of an over-subscribed table that fall past the end are dropped."""
     k = LOOKAHEAD_BITS
@@ -170,28 +176,92 @@ def _reference_fast(table):
     return fast
 
 
-DATASET_IMAGES = 12  # first images of each dataset whose tables test_lookahead_fast_* reads
+def _reference_bounds(table):
+    """libjpeg's ``maxcode``/``valoff`` per code length, from ``bits``
+    alone: the last code of each length (-1 if none), and the offset from
+    a code of that length to its symbol's index in ``values``."""
+    maxcode, valoff = [-1] * (MAX_CODE_LEN + 1), [0] * (MAX_CODE_LEN + 1)
+    code = first = 0
+    for length in range(1, MAX_CODE_LEN + 1):
+        count = table.bits[length - 1]
+        if count:
+            valoff[length] = first - code
+            maxcode[length] = code + count - 1
+        code = (code + count) << 1
+        first += count
+    return maxcode, valoff
 
 
+def _reference_decode(table, bounds, window):
+    """The entry of the symbol that starts the 32-bit ``window``, found as
+    libjpeg's ``jpeg_huff_decode`` does (shortest length first), or
+    EOFError when no code matches."""
+    maxcode, valoff = bounds
+    for length in range(1, MAX_CODE_LEN + 1):
+        code = window >> (32 - length)
+        if code <= maxcode[length]:
+            s = table.values[code + valoff[length]]
+            n = _n_extra(s)
+            return _expected_entry(s, length, window >> (32 - length - n) & ((1 << n) - 1))
+    return EOFError
+
+
+def test_slow_equals_reference_on_every_16_bit_prefix():
+    # Over-subscribed, empty and deep tables (codes longer than
+    # LOOKAHEAD_BITS), where ``slow`` runs libjpeg's ``maxcode`` search.
+    rng = np.random.default_rng(1)
+    tables = [
+        HuffmanTable(bits=[0] * 16, values=[]),
+        HuffmanTable(bits=[3] + [0] * 15, values=[0, 1, 2]),
+        HuffmanTable(bits=[0, 0, 9] + [0] * 13, values=list(range(0xF0, 0xF9))),
+        # Over-subscribed at 16 bits, behind codes of every length up to 10.
+        HuffmanTable(bits=[1] * 10 + [0] * 5 + [100], values=list(range(110))),
+        HuffmanTable(bits=[1] * 16, values=[0x0A, 0x1B, 0x2C, 0xF0, *range(0xA0, 0xAC)]),
+        build_optimal_table(_deep_freqs()),
+    ]
+    for _ in range(2):
+        bits = [0] * 8 + rng.integers(0, 4, 8).tolist()
+        tables.append(HuffmanTable(bits=bits, values=rng.integers(0, 256, sum(bits)).tolist()))
+    assert all(max(l for _, _, l in t.codes()) > LOOKAHEAD_BITS for t in tables[3:])
+    for table in tables:
+        bounds = _reference_bounds(table)
+        for prefix in range(1 << 16):
+            window = prefix << 16 | prefix
+            # As the scan loops decode: ``slow`` where ``fast`` has no value.
+            got = table.fast[window >> (32 - LOOKAHEAD_BITS)]
+            if got[2] is None:
+                try:
+                    got = table.slow(window)
+                except EOFError:
+                    got = EOFError
+            assert got == _reference_decode(table, bounds, window)
+
+
+DATASET_IMAGES = 12  # first images of each dataset whose tables the table tests read
+
+
+@functools.cache
 def _dataset_tables():
     """The DC and AC tables of the progressive and baseline files of
     each dataset's first ``DATASET_IMAGES`` images."""
+    tables = []
     for spec in synth_images.SPECS.values():
         for i in range(DATASET_IMAGES):
             ci = forward(synth_images.generate_image(spec, i)[0], spec.quality)
             for data in (encode_progressive_from_coeffs(ci), encode_baseline_from_coeffs(ci)):
                 for seg in markers.parse(data):
                     if seg.marker == markers.DHT:
-                        tables = {}
-                        _parse_dht(seg.payload, tables)
-                        yield from tables.values()
+                        found = {}
+                        _parse_dht(seg.payload, found)
+                        tables += found.values()
+    return tables
 
 
 def test_lookahead_fast_equals_reference_on_dataset_tables():
-    tables = list(_dataset_tables())
+    tables = _dataset_tables()
     assert len({(tuple(t.bits), tuple(t.values)) for t in tables}) > 100
     for table in tables:
-        assert Lookahead(table).fast == _reference_fast(table)
+        assert table.fast == _reference_fast(table)
 
 
 def test_lookahead_fast_equals_reference_on_oversubscribed_and_empty_bits():
@@ -207,7 +277,7 @@ def test_lookahead_fast_equals_reference_on_oversubscribed_and_empty_bits():
         tables.append(HuffmanTable(bits=bits, values=rng.integers(0, 256, sum(bits)).tolist()))
     assert any(sum(b << (16 - l) for l, b in enumerate(t.bits, 1)) > 1 << 16 for t in tables)
     for table in tables:
-        assert Lookahead(table).fast == _reference_fast(table)
+        assert table.fast == _reference_fast(table)
 
 
 @pytest.mark.parametrize("seed", [*range(4), "deep"])
@@ -228,14 +298,15 @@ def test_optimal_table_roundtrips_symbols(seed):
     msg = [(int(s), int(rng.integers(0, 1 << _n_extra(int(s)))))
            for s in rng.choice(alphabet, size=500)]
     # Decode with one lookup per symbol, as the scan loops do.
-    words, n_bits = segment_words(pack_scan(*t.words(*np.array(msg).T)))
+    sym, extra = np.array(msg).T
+    book_words, book_nbits = t.book()
+    words, n_bits = segment_words(pack_scan(book_words[sym] | extra, book_nbits[sym]))
     bits, total, pos = _bits_of(words), 32 * len(words), 0
-    look = t.lookahead
     for s, x in msg:
         window = (bits >> (total - pos - 32)) & 0xFFFFFFFF
-        entry = look.fast[window >> (32 - LOOKAHEAD_BITS)]
+        entry = t.fast[window >> (32 - LOOKAHEAD_BITS)]
         if entry[2] is None:
-            entry = look.slow(window)
+            entry = t.slow(window)
         assert entry == _expected_entry(s, lengths[s], x)
         pos += entry[0]
     assert pos <= n_bits < pos + 8
@@ -300,7 +371,8 @@ def test_scan_eof_keeps_only_complete_symbols():
     diffs = rng.integers(-300, 300, size=40).tolist()
     extra, size = magnitude_bits(diffs)
     t = build_optimal_table(np.bincount(size, minlength=256))
-    words, nbits = t.words(size, extra)
+    book_words, book_nbits = t.book()
+    words, nbits = book_words[size] | extra, book_nbits[size]
     ends = np.cumsum(nbits).tolist()
     data = pack_scan(words, nbits)
     assert b"\xff" not in data  # so byte count = bit count / 8
@@ -314,6 +386,21 @@ def test_scan_eof_keeps_only_complete_symbols():
             _interleaved_scan(data[:n], len(diffs), 0, [t], [None], [memoryview(out)])
         assert out[::64].tolist() == (np.cumsum(diffs[:complete]).tolist()
                                       + [0] * (len(diffs) - complete))
+
+
+def test_decode_tables_are_built_on_first_use():
+    # A DC-only scan decodes with its DC tables alone: the AC table its
+    # SOS names builds neither ``fast`` nor the ``slow`` bounds.
+    diffs = [5, -3, 0, 7, -100]
+    extra, size = magnitude_bits(diffs)
+    dc = build_optimal_table(np.bincount(size, minlength=256))
+    ac = build_optimal_table(_deep_freqs())
+    words, nbits = dc.book()
+    out = np.zeros(64 * len(diffs), dtype=np.int32)
+    data = pack_scan(words[size] | extra, nbits[size])
+    _interleaved_scan(data, len(diffs), 0, [dc], [ac], [memoryview(out)])
+    assert out[::64].tolist() == np.cumsum(diffs).tolist()
+    assert "fast" in vars(dc) and not {"fast", "_bounds"} & vars(ac).keys()
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 32)),

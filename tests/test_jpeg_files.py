@@ -515,5 +515,5 @@ def test_eobrun_cap(nonzero_block):
     first_ac = sos[1]
     ac_table = tables[(1, first_ac.payload[2] & 0xF)]
     words, _ = segment_words(first_ac.entropy)
-    _, run, value = ac_table.lookahead.slow(words[0])
+    _, run, value = ac_table.slow(words[0])
     assert (run, value) == (-0x7FFF, 0)
